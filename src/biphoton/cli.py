@@ -2,9 +2,11 @@
 
 Subcommands: dressed | spectrum | wavepacket | filter | montecarlo |
 fit | modulate | budget | sweep.  A YAML config file supplies the run
-definition; command-line flags override individual fields.  All file
-output is deterministic for a fixed config and seed (timestamps only
-with --timestamps).
+definition; each command-line flag in FLAG_KEYS overrides one key of it,
+and the merged mapping is resolved once by config.config_from_dict.
+File headers echo the config file as written, without the flags.  All
+file output is deterministic for a fixed config and seed (timestamps
+only with --timestamps).
 
 Exit codes: 0 success, 2 validation error, 3 numerical error,
 4 I/O error.
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
-from .errors import NumericalError, ToolkitError, ValidationError
+from .config import RunConfig, config_from_dict, read_config_file
+from .errors import NumericalError, ToolkitError
 from .estimation import FitModel, fit_wavepacket, initial_guess
 from .filtering import (
     apply_filter,
@@ -42,14 +44,33 @@ from .susceptibility import chi3_approx, chi3_full, default_frequency_grid
 from .wavepacket import beat_period, g2_analytic, psi_numeric, spectrum_power
 
 
+# argparse dest -> (config section, key) that the flag overrides
+FLAG_KEYS = {
+    "delta_c": ("system", "delta_c"),
+    "omega_c": ("system", "omega_c"),
+    "gamma12": ("system", "gamma12"),
+    "gamma14": ("system", "gamma14"),
+    "delta_p": ("system", "delta_p"),
+    "tau_max": ("grid", "tau_max_ns"),
+    "n_points": ("grid", "n_points"),
+    "seed": ("detection", "rng_seed"),
+    "out": ("output", "directory"),
+    "timestamps": ("output", "timestamps"),
+    "model": ("fit", "model"),
+    "detected_rate": ("budget", "detected_rate"),
+    "delta_c_list": ("sweep", "delta_c"),
+}
+
+
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="YAML run configuration file")
     shared.add_argument("--out", help="output directory (overrides config)")
-    shared.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for shards/sweeps")
-    shared.add_argument("--timestamps", action="store_true",
+    shared.add_argument("--timestamps", action="store_true", default=None,
                         help="include wall-clock timestamps in file headers")
     for flag, why in (
         ("--delta-c", "coupling detuning (gamma13 units)"),
@@ -57,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--gamma12", "ground-state dephasing (gamma13 units)"),
         ("--gamma14", "pump-level dephasing (gamma13 units)"),
         ("--delta-p", "pump detuning (gamma13 units)"),
-        ("--od", "optical depth"),
     ):
         shared.add_argument(flag, type=float, help=why)
     shared.add_argument("--tau-max", type=float, help="time grid end (ns)")
@@ -73,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dressed", parents=[shared],
                        help="dressed-mode detunings, widths, linewidths")
-    p.add_argument("--sweep", metavar="START:STOP:N",
-                   help="write a delta_c sweep CSV instead of one report")
     p.set_defaults(func=cmd_dressed)
 
     p = sub.add_parser("spectrum", parents=[shared],
@@ -91,8 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", parents=[shared],
                        help="synthetic coincidence histogram")
+    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--shards", type=int, default=1,
                    help="independent measurement-time slices")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes for the shards")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("fit", parents=[shared],
@@ -115,44 +136,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[shared],
                        help="beat period and linewidths across delta_c values")
-    p.add_argument("--delta-c-list", help="comma-separated delta_c values")
+    p.add_argument("--delta-c-list", type=_comma_list,
+                   help="comma-separated delta_c values (overrides config)")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def _configure(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("delta_c", "omega_c", "gamma12", "gamma14", "delta_p", "od"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg.system = dataclasses.replace(cfg.system, **overrides)
-        # filters centered by mode name must track the overridden system
-        if cfg.echo.get("filter"):
-            from .config import _filter_from
-            entries = cfg.echo["filter"]
-            if isinstance(entries, dict):
-                entries = [entries]
-            cfg.filters = [_filter_from(e or {}, cfg.system) for e in entries]
-    grid_overrides = {}
-    if args.tau_max is not None:
-        grid_overrides["tau_max"] = args.tau_max
-    if args.n_points is not None:
-        grid_overrides["n_points"] = args.n_points
-    if grid_overrides:
-        cfg.grid = dataclasses.replace(cfg.grid, **grid_overrides)
-    if args.out is not None:
-        cfg.output.directory = args.out
-    if args.timestamps:
-        cfg.output.timestamps = True
-    if args.seed is not None and cfg.detection is not None:
-        cfg.detection = dataclasses.replace(cfg.detection, rng_seed=args.seed)
-    elif args.seed is not None:
-        from .photostatistics import DetectionConfig
-        cfg.detection = DetectionConfig(rng_seed=args.seed)
+    raw = read_config_file(args.config) if args.config else {}
+    run = dict(raw)
+    for dest, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        entry = run.get(section)
+        # a malformed section is left as it is, for config_from_dict to reject
+        if value is not None and (entry is None or isinstance(entry, dict)):
+            run[section] = {**(entry or {}), key: value}
+    cfg = config_from_dict(run)
+    # headers echo the file as written, so a different --out or --seed
+    # never changes the bytes of an output file's header
+    cfg.echo = raw
     return cfg
 
 
@@ -180,26 +183,6 @@ def _print_lines(pairs) -> None:
 
 def cmd_dressed(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.system
-    if args.sweep:
-        try:
-            start, stop, n = args.sweep.split(":")
-            values = np.linspace(float(start), float(stop), int(n))
-        except ValueError as exc:
-            raise ValidationError("--sweep expects START:STOP:N") from exc
-        rows = {"delta_c_gamma13": [], "omega_e_gamma13": [],
-                "two_gamma_minus_gamma13": [], "two_gamma_plus_gamma13": [],
-                "linewidth_minus_hz": []}
-        for dc in values:
-            d = dressed_modes(dataclasses.replace(p, delta_c=float(dc)))
-            rows["delta_c_gamma13"].append(dc)
-            rows["omega_e_gamma13"].append(d.omega_e)
-            rows["two_gamma_minus_gamma13"].append(2.0 * d.gamma_minus)
-            rows["two_gamma_plus_gamma13"].append(2.0 * d.gamma_plus)
-            rows["linewidth_minus_hz"].append(p.rate_to_hz(2.0 * d.gamma_minus))
-        path = _outdir(cfg) / "dressed_sweep.csv"
-        write_csv(path, rows, _meta(cfg, "dressed"), cfg.output.timestamps)
-        print(f"wrote {path}")
-        return 0
     d = dressed_modes(p)
     _print_lines([
         ("delta_c_gamma13", f"{p.delta_c:.6g}"),
@@ -315,9 +298,7 @@ def _model_wavepacket(cfg: RunConfig):
 
 
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .photostatistics import DetectionConfig
-
-    det = cfg.detection or DetectionConfig()
+    det = cfg.detection
     model = _model_wavepacket(cfg)
     h = simulate_coincidences(model, det, n_shards=args.shards,
                               workers=args.workers)
@@ -343,8 +324,6 @@ def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     h, _ = read_histogram(args.data)
     model = cfg.fit.model
-    if args.model:
-        model = None if args.model == "auto" else FitModel(args.model)
     if model is None:
         guess = initial_guess(h, cfg.system.si_gamma13)
         model = FitModel(guess["suggested_model"])
@@ -366,10 +345,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .config import MaskSettings
-    from .modulation import ModulationMask
-
-    settings = cfg.mask or MaskSettings(mask=ModulationMask(), start_auto=True)
+    settings = cfg.mask
     w = _model_wavepacket(cfg)
     mask = settings.mask
     if settings.start_auto:
@@ -395,24 +371,15 @@ def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_budget(cfg: RunConfig, args: argparse.Namespace) -> int:
-    detected = args.detected_rate
-    if detected is None:
-        detected = cfg.budget.detected_rate
-    print(budget_report(detected, cfg.budget.budget))
+    print(budget_report(cfg.budget.detected_rate, cfg.budget.budget))
     return 0
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.delta_c_list:
-        values = [float(v) for v in args.delta_c_list.split(",")]
-    elif cfg.sweep_delta_c:
-        values = cfg.sweep_delta_c
-    else:
-        values = [0.0, 16.7, 28.3, 45.0]
     rows = {"delta_c_gamma13": [], "omega_e_gamma13": [], "beat_period_ns": [],
             "two_gamma_minus_gamma13": [], "two_gamma_plus_gamma13": [],
             "linewidth_minus_hz": []}
-    for dc in values:
+    for dc in cfg.sweep_delta_c:
         p = dataclasses.replace(cfg.system, delta_c=float(dc))
         d = dressed_modes(p)
         rows["delta_c_gamma13"].append(dc)

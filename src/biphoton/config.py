@@ -2,7 +2,7 @@
 
 Sections (all optional; physically sensible defaults apply):
 
-    system:    gamma12, gamma14, delta_p, delta_c, omega_c, od, gamma13_mhz
+    system:    gamma12, gamma14, delta_p, delta_c, omega_c, gamma13_mhz
     grid:      tau_max_ns, n_points, tau_min_ns, freq_points
     filter:    list of {center_gamma13, fwhm_mhz, fsr_ghz, peak_transmission}
                (center_gamma13 takes a number or "narrow"/"broad")
@@ -16,10 +16,12 @@ Sections (all optional; physically sensible defaults apply):
                rise_time_ns, samples
     budget:    detected_rate, factors ([[label, value], ...])
     sweep:     delta_c (list of values)
-    output:    directory, format (csv|structured-text), timestamps
+    output:    directory, timestamps (true|false)
 
-Every section is validated against its module's invariants before any
-computation starts; unknown keys are rejected to catch typos early.
+Each section's defaults are written once, in its parser below; an
+absent or empty section resolves to them.  Every section is validated
+against its module's invariants before any computation starts; unknown
+keys and values of the wrong shape are rejected to catch typos early.
 """
 
 from __future__ import annotations
@@ -52,16 +54,16 @@ DEFAULT_BUDGET_FACTORS = (
 @dataclass
 class MaskSettings:
     mask: ModulationMask
-    start_auto: bool = False
-    delay_ns: float = 0.0
-    convention: str = "intensity"
-    rise_time_ns: float = 0.0
+    start_auto: bool
+    delay_ns: float
+    convention: str
+    rise_time_ns: float
 
 
 @dataclass
 class FitSettings:
     model: FitModel | None  # None means pick from the data
-    window_ns: tuple[float, float] | None = None
+    window_ns: tuple[float, float] | None
 
 
 @dataclass
@@ -74,32 +76,37 @@ class BudgetSettings:
 
 @dataclass
 class OutputSettings:
-    directory: str = "out"
-    format: str = "csv"
-    timestamps: bool = False
+    directory: str
+    timestamps: bool
 
 
 @dataclass
 class RunConfig:
-    system: SystemParams = field(default_factory=SystemParams)
-    grid: TimeGridConfig = field(default_factory=TimeGridConfig)
-    freq_points: int | None = None
-    filters: list = field(default_factory=list)
-    detection: DetectionConfig | None = None
-    fit: FitSettings = field(default_factory=lambda: FitSettings(FitModel()))
-    mask: MaskSettings | None = None
-    budget: BudgetSettings = field(default_factory=BudgetSettings)
-    sweep_delta_c: list = field(default_factory=list)
-    output: OutputSettings = field(default_factory=OutputSettings)
-    echo: dict = field(default_factory=dict)
+    system: SystemParams
+    grid: TimeGridConfig
+    freq_points: int | None
+    filters: list
+    detection: DetectionConfig
+    fit: FitSettings
+    mask: MaskSettings
+    budget: BudgetSettings
+    sweep_delta_c: list
+    output: OutputSettings
+    echo: dict
 
 
-def _check_keys(section: str, given: dict, allowed: set) -> None:
+def _section(name: str, given, allowed: set) -> dict:
+    """The section's mapping ({} when absent or empty), keys checked."""
+    if given is None:
+        return {}
+    if not isinstance(given, dict):
+        raise ValidationError(f"[{name}] must be a mapping of keys to values")
     unknown = set(given) - allowed
     if unknown:
         raise ValidationError(
-            f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
+            f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
         )
+    return given
 
 
 def _num(section: str, key: str, value) -> float:
@@ -111,6 +118,12 @@ def _num(section: str, key: str, value) -> float:
         raise ValidationError(f"[{section}] {key} must be a number") from exc
 
 
+def _numbers(section: str, key: str, values) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"[{section}] {key} must be a list of numbers")
+    return [_num(section, key, v) for v in values]
+
+
 def _intval(section: str, key: str, value) -> int:
     try:
         return int(value)
@@ -118,10 +131,10 @@ def _intval(section: str, key: str, value) -> int:
         raise ValidationError(f"[{section}] {key} must be an integer") from exc
 
 
-def _system_from(d: dict) -> SystemParams:
-    _check_keys(
+def _system_from(d) -> SystemParams:
+    d = _section(
         "system", d,
-        {"gamma12", "gamma14", "delta_p", "delta_c", "omega_c", "od", "gamma13_mhz"},
+        {"gamma12", "gamma14", "delta_p", "delta_c", "omega_c", "gamma13_mhz"},
     )
     kwargs = {k: _num("system", k, v) for k, v in d.items() if k != "gamma13_mhz"}
     if "gamma13_mhz" in d:
@@ -131,8 +144,8 @@ def _system_from(d: dict) -> SystemParams:
     return SystemParams(**kwargs)
 
 
-def _grid_from(d: dict) -> tuple[TimeGridConfig, int | None]:
-    _check_keys("grid", d, {"tau_max_ns", "n_points", "tau_min_ns", "freq_points"})
+def _grid_from(d) -> tuple[TimeGridConfig, int | None]:
+    d = _section("grid", d, {"tau_max_ns", "n_points", "tau_min_ns", "freq_points"})
     grid = TimeGridConfig(
         tau_max=_num("grid", "tau_max_ns", d.get("tau_max_ns", 400.0)),
         n_points=_intval("grid", "n_points", d.get("n_points", 2000)),
@@ -145,8 +158,18 @@ def _grid_from(d: dict) -> tuple[TimeGridConfig, int | None]:
     return grid, freq_points
 
 
-def _filter_from(d: dict, p: SystemParams) -> EtalonFilter:
-    _check_keys(
+def _filters_from(entries, p: SystemParams) -> list[EtalonFilter]:
+    if entries is None:
+        return []
+    if isinstance(entries, dict):
+        entries = [entries]
+    if not isinstance(entries, list):
+        raise ValidationError("[filter] must be one etalon or a list of them")
+    return [_filter_from(e, p) for e in entries]
+
+
+def _filter_from(d, p: SystemParams) -> EtalonFilter:
+    d = _section(
         "filter", d, {"center_gamma13", "fwhm_mhz", "fsr_ghz", "peak_transmission"}
     )
     center = d.get("center_gamma13", "narrow")
@@ -173,8 +196,8 @@ def _filter_from(d: dict, p: SystemParams) -> EtalonFilter:
     )
 
 
-def _detection_from(d: dict) -> DetectionConfig:
-    _check_keys(
+def _detection_from(d) -> DetectionConfig:
+    d = _section(
         "detection", d,
         {"pair_rate", "qe_stokes", "qe_antistokes", "channel_t_stokes",
          "channel_t_antistokes", "duty_cycle", "measurement_time",
@@ -190,8 +213,8 @@ def _detection_from(d: dict) -> DetectionConfig:
     return DetectionConfig(**kwargs)
 
 
-def _fit_from(d: dict) -> FitSettings:
-    _check_keys("fit", d, {"model", "window_ns", "fixed_t0_ns"})
+def _fit_from(d) -> FitSettings:
+    d = _section("fit", d, {"model", "window_ns", "fixed_t0_ns"})
     name = d.get("model", "two_component")
     fixed_t0 = d.get("fixed_t0_ns")
     if name == "auto":
@@ -216,8 +239,8 @@ def _fit_from(d: dict) -> FitSettings:
     return FitSettings(model=model, window_ns=window)
 
 
-def _mask_from(d: dict) -> MaskSettings:
-    _check_keys(
+def _mask_from(d) -> MaskSettings:
+    d = _section(
         "mask", d,
         {"kind", "pulse_width_ns", "pulse_separation_ns", "n_pulses",
          "start_offset_ns", "delay_ns", "convention", "rise_time_ns", "samples"},
@@ -226,6 +249,7 @@ def _mask_from(d: dict) -> MaskSettings:
     start_auto = isinstance(start, str)
     if start_auto and start != "auto":
         raise ValidationError("start_offset_ns must be a number or 'auto'")
+    samples = d.get("samples")
     mask = ModulationMask(
         kind=d.get("kind", "square_train"),
         pulse_width=_num("mask", "pulse_width_ns", d.get("pulse_width_ns", 50.0)),
@@ -234,7 +258,7 @@ def _mask_from(d: dict) -> MaskSettings:
         ),
         n_pulses=_intval("mask", "n_pulses", d.get("n_pulses", 2)),
         start_offset=0.0 if start_auto else _num("mask", "start_offset_ns", start),
-        samples=d.get("samples"),
+        samples=None if samples is None else _numbers("mask", "samples", samples),
     )
     convention = d.get("convention", "intensity")
     if convention not in ("intensity", "amplitude"):
@@ -248,8 +272,11 @@ def _mask_from(d: dict) -> MaskSettings:
     )
 
 
-def _budget_from(d: dict) -> BudgetSettings:
-    _check_keys("budget", d, {"detected_rate", "factors"})
+def _budget_from(d) -> BudgetSettings:
+    d = _section("budget", d, {"detected_rate", "factors"})
+    kwargs = {}
+    if "detected_rate" in d:
+        kwargs["detected_rate"] = _num("budget", "detected_rate", d["detected_rate"])
     factors = d.get("factors")
     if factors is not None:
         try:
@@ -260,70 +287,72 @@ def _budget_from(d: dict) -> BudgetSettings:
             raise ValidationError(
                 "budget factors must be a list of [label, value] pairs"
             ) from exc
-        budget = LossBudget(pairs)
-    else:
-        budget = LossBudget(DEFAULT_BUDGET_FACTORS)
-    return BudgetSettings(
-        detected_rate=_num("budget", "detected_rate", d.get("detected_rate", 2.18)),
-        budget=budget,
-    )
+        kwargs["budget"] = LossBudget(pairs)
+    return BudgetSettings(**kwargs)
 
 
-def _output_from(d: dict) -> OutputSettings:
-    _check_keys("output", d, {"directory", "format", "timestamps"})
-    fmt = d.get("format", "csv")
-    if fmt not in ("csv", "structured-text"):
-        raise ValidationError("output format must be csv or structured-text")
+def _sweep_from(d) -> list[float]:
+    d = _section("sweep", d, {"delta_c"})
+    values = _numbers("sweep", "delta_c", d.get("delta_c", [0.0, 16.7, 28.3, 45.0]))
+    if not values:
+        raise ValidationError("[sweep] delta_c needs at least one value")
+    return values
+
+
+def _output_from(d) -> OutputSettings:
+    d = _section("output", d, {"directory", "timestamps"})
+    timestamps = d.get("timestamps", False)
+    if not isinstance(timestamps, bool):
+        raise ValidationError("[output] timestamps must be true or false")
     return OutputSettings(
         directory=str(d.get("directory", "out")),
-        format=fmt,
-        timestamps=bool(d.get("timestamps", False)),
+        timestamps=timestamps,
     )
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """Build and validate a RunConfig from parsed YAML."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a mapping of sections")
-    _check_keys(
+def config_from_dict(raw) -> RunConfig:
+    """Build and validate a RunConfig from parsed YAML.
+
+    The one place a run is resolved: every section, present or not,
+    goes through its parser, and filters centred by mode name follow
+    the resolved system.  echo keeps raw as given.
+    """
+    raw = _section(
         "config", raw,
         {"system", "grid", "filter", "detection", "fit", "mask", "budget",
          "sweep", "output"},
     )
-    cfg = RunConfig(echo=raw)
-    if "system" in raw:
-        cfg.system = _system_from(raw["system"] or {})
-    if "grid" in raw:
-        cfg.grid, cfg.freq_points = _grid_from(raw["grid"] or {})
-    if "filter" in raw:
-        entries = raw["filter"] or []
-        if isinstance(entries, dict):
-            entries = [entries]
-        cfg.filters = [_filter_from(e or {}, cfg.system) for e in entries]
-    if "detection" in raw:
-        cfg.detection = _detection_from(raw["detection"] or {})
-    if "fit" in raw:
-        cfg.fit = _fit_from(raw["fit"] or {})
-    if "mask" in raw:
-        cfg.mask = _mask_from(raw["mask"] or {})
-    if "budget" in raw:
-        cfg.budget = _budget_from(raw["budget"] or {})
-    if "sweep" in raw:
-        section = raw["sweep"] or {}
-        _check_keys("sweep", section, {"delta_c"})
-        cfg.sweep_delta_c = [float(v) for v in section.get("delta_c", [])]
-    if "output" in raw:
-        cfg.output = _output_from(raw["output"] or {})
-    return cfg
+    system = _system_from(raw.get("system"))
+    grid, freq_points = _grid_from(raw.get("grid"))
+    return RunConfig(
+        system=system,
+        grid=grid,
+        freq_points=freq_points,
+        filters=_filters_from(raw.get("filter"), system),
+        detection=_detection_from(raw.get("detection")),
+        fit=_fit_from(raw.get("fit")),
+        mask=_mask_from(raw.get("mask")),
+        budget=_budget_from(raw.get("budget")),
+        sweep_delta_c=_sweep_from(raw.get("sweep")),
+        output=_output_from(raw.get("output")),
+        echo=raw,
+    )
 
 
-def load_config(path) -> RunConfig:
-    """Parse a YAML config file into a validated RunConfig."""
+def read_config_file(path) -> dict:
+    """The YAML file's mapping of sections as written, not yet resolved."""
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"config is not valid YAML: {exc}") from exc
-    return config_from_dict(raw)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValidationError("config root must be a mapping of sections")
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    """Parse a YAML config file into a validated RunConfig."""
+    return config_from_dict(read_config_file(path))

@@ -23,7 +23,6 @@ to an ordinary frequency, the FWHM of the narrow spectral component.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,24 +46,18 @@ _PARAMS = {
 
 @dataclass(frozen=True)
 class FitModel:
-    """Choice of model shape and parameterization.
+    """Choice of model shape.
 
-    parameterization applies to two_component only: "plus_minus" fits
-    (gamma_plus, gamma_minus) directly, "sum_diff" fits their sum and
-    difference; both describe the same curve family.  fixed_t0 pins the
-    time origin (ns); it is implied 0.0 for single_exponential unless
-    set.
+    fixed_t0 pins the time origin (ns); it is implied 0.0 for
+    single_exponential unless set.
     """
 
     which: str = "two_component"
-    parameterization: str = "plus_minus"
     fixed_t0: float | None = None
 
     def __post_init__(self) -> None:
         if self.which not in MODEL_NAMES:
             raise ValidationError(f"unknown model {self.which!r}")
-        if self.parameterization not in ("plus_minus", "sum_diff"):
-            raise ValidationError("parameterization must be plus_minus or sum_diff")
 
     @property
     def parameter_names(self) -> tuple:
@@ -76,6 +69,12 @@ class FitModel:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Best-fit values and their diagnostics.
+
+    n_iterations is the optimizer's count of residual evaluations
+    (scipy's nfev), not of its iterations.
+    """
+
     model: str
     estimates: dict
     stderr: dict
@@ -136,46 +135,11 @@ def _data_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise ValidationError("data must be a CoincidenceHistogram or Wavepacket")
 
 
-def _to_internal(model: FitModel, params: dict) -> np.ndarray:
-    x = []
-    for name in model.parameter_names:
-        if model.which == "two_component" and model.parameterization == "sum_diff":
-            if name == "gamma_plus":
-                x.append(params["gamma_plus"] + params["gamma_minus"])
-                continue
-            if name == "gamma_minus":
-                x.append(params["gamma_plus"] - params["gamma_minus"])
-                continue
-        x.append(params[name])
-    return np.asarray(x, dtype=float)
-
-
-def _from_internal(model: FitModel, x: np.ndarray) -> dict:
-    params = dict(zip(model.parameter_names, x))
-    if model.which == "two_component" and model.parameterization == "sum_diff":
-        gsum = params["gamma_plus"]
-        gdiff = params["gamma_minus"]
-        params["gamma_plus"] = 0.5 * (gsum + gdiff)
-        params["gamma_minus"] = 0.5 * (gsum - gdiff)
-    return params
-
-
 def _bounds(model: FitModel, tau_span: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = [], []
     tiny = 1e-9
     for name in model.parameter_names:
-        if name == "amplitude":
-            lo.append(tiny); hi.append(np.inf)
-        elif name in ("gamma_plus", "gamma_minus"):
-            if model.which == "two_component" and model.parameterization == "sum_diff":
-                # sum > 0; difference may take either sign but stays below the sum
-                if name == "gamma_plus":
-                    lo.append(tiny); hi.append(np.inf)
-                else:
-                    lo.append(-np.inf); hi.append(np.inf)
-            else:
-                lo.append(tiny); hi.append(np.inf)
-        elif name == "omega_e":
+        if name in ("amplitude", "gamma_plus", "gamma_minus", "omega_e"):
             lo.append(tiny); hi.append(np.inf)
         elif name == "background":
             lo.append(0.0); hi.append(np.inf)
@@ -201,7 +165,7 @@ def fit_wavepacket(
     if model is None:
         model = FitModel()
     if model.which == "single_exponential" and model.fixed_t0 is None:
-        model = FitModel(model.which, model.parameterization, 0.0)
+        model = FitModel(model.which, fixed_t0=0.0)
     taus, y, sigma = _data_arrays(data)
     if fit_window is None and model.which == "single_exponential":
         # a decay-only model cannot represent the rise to the arrival-time
@@ -241,7 +205,7 @@ def fit_wavepacket(
         guess.update(scaled)
     if model.which == "single_exponential":
         guess.setdefault("t0", 0.0)
-    x0 = _to_internal(model, guess)
+    x0 = np.asarray([guess[n] for n in names], dtype=float)
     lo, hi = _bounds(model, float(taus[-1] - taus[0]))
     x0 = np.clip(x0, lo + 1e-12, hi)
 
@@ -258,14 +222,14 @@ def fit_wavepacket(
         return (left + 4.0 * mid + right) / 6.0
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        return (predict(_from_internal(model, x)) - y) / sigma
+        return (predict(dict(zip(names, x))) - y) / sigma
 
     res = least_squares(
         residuals, x0, bounds=(lo, hi), method="trf",
         ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=20000,
     )
     converged = res.status > 0
-    params = _from_internal(model, res.x)
+    params = dict(zip(names, res.x))
 
     dof = max(len(y) - len(names), 1)
     chi2 = float(np.sum(res.fun ** 2))
@@ -283,14 +247,7 @@ def fit_wavepacket(
                       "unidentifiable; standard errors use a pseudo-inverse",
                       stacklevel=2)
     cov = np.linalg.pinv(jtj) * (chi2 / dof)
-    stderr_internal = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    stderr = dict(zip(names, stderr_internal))
-    if model.which == "two_component" and model.parameterization == "sum_diff":
-        # errors of sum/diff map to equal errors on the halves
-        s_sum = stderr.pop("gamma_plus")
-        s_diff = stderr.pop("gamma_minus")
-        stderr["gamma_plus"] = 0.5 * math.hypot(s_sum, s_diff)
-        stderr["gamma_minus"] = 0.5 * math.hypot(s_sum, s_diff)
+    stderr = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
 
     estimates = {k: float(v) for k, v in params.items()}
     for key in ("amplitude", "background"):

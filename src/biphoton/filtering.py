@@ -107,8 +107,9 @@ def apply_filter(spectrum: ComplexSpectrum, f: EtalonFilter) -> ComplexSpectrum:
 def estimate_beat_period_ns(w: Wavepacket) -> float:
     """Beat period from the dominant nonzero-frequency peak of G2's spectrum.
 
-    Uses an rfft of the mean-subtracted g2 with parabolic interpolation
-    around the peak bin.
+    Uses an rfft of g2 as given (the mean is not subtracted, so the DC
+    bin stays in the spectrum) and takes the strongest interior local
+    maximum, with parabolic interpolation around that bin.
     """
     g2 = np.asarray(w.g2, dtype=float)
     spec = np.abs(np.fft.rfft(g2))

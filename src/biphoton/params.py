@@ -33,8 +33,6 @@ class SystemParams:
     delta_p   pump detuning (red-detuned pump means delta_p < 0)
     delta_c   coupling detuning
     omega_c   coupling Rabi frequency, real non-negative
-    od        optical depth of the ensemble (scales brightness only here;
-              no propagation/absorption lineshape correction is applied)
     si_gamma13  rad/s value of one gamma13 unit, for SI conversion
     """
 
@@ -44,7 +42,6 @@ class SystemParams:
     delta_p: float = -14.0
     delta_c: float = 0.0
     omega_c: float = 14.8
-    od: float = 5.0
     si_gamma13: float = DEFAULT_SI_GAMMA13
 
     def __post_init__(self) -> None:
@@ -58,8 +55,6 @@ class SystemParams:
             )
         if self.omega_c < 0:
             raise ValidationError("omega_c must be non-negative (phase is unobservable)")
-        if self.od < 0:
-            raise ValidationError("od must be non-negative")
         if self.delta_p == 0 and self.gamma14 == 0:
             raise ValidationError("pump prefactor delta_p + i*gamma14 must be nonzero")
         if not (self.si_gamma13 > 0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biphoton import read_csv, read_histogram
+from biphoton import SystemParams, narrow_mode_center, read_csv, read_histogram
 from biphoton.cli import main
 
 CONFIG = """\
@@ -32,16 +32,6 @@ def test_dressed_report(tmp_path, capsys):
     for key in ("omega_e_gamma13", "fwhm_narrow_hz", "beat_period_ns"):
         assert key in out
     assert "31.9363" in out  # sqrt(28.3^2 + 14.8^2)
-
-
-def test_dressed_sweep_csv(tmp_path):
-    code = main(["dressed", "--omega-c", "14.8", "--sweep", "0:45:10",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    columns, _ = read_csv(tmp_path / "dressed_sweep.csv")
-    assert len(columns["delta_c_gamma13"]) == 10
-    # narrow linewidth shrinks as the coupling is detuned further
-    assert columns["two_gamma_minus_gamma13"][-1] < columns["two_gamma_minus_gamma13"][0]
 
 
 def test_spectrum_files(tmp_path):
@@ -76,6 +66,20 @@ def test_filter_suppresses_beat(tmp_path, capsys):
     for name in ("spectrum_unfiltered.csv", "spectrum_filtered.csv",
                  "wavepacket_unfiltered.csv", "wavepacket_filtered.csv"):
         assert (tmp_path / name).exists()
+
+
+def test_filter_recentres_on_overridden_detuning(tmp_path):
+    # the config names the etalon centre "narrow"; a --delta-c flag must
+    # move it to the narrow mode of the overridden system
+    cfgpath = _write_config(tmp_path)
+    assert main(["filter", "--config", cfgpath, "--delta-c", "40",
+                 "--out", str(tmp_path)]) == 0
+    columns, _ = read_csv(tmp_path / "spectrum_filtered.csv")
+    peak = columns["omega_over_gamma13"][np.argmax(columns["value"])]
+    want = narrow_mode_center(SystemParams(delta_c=40.0, omega_c=14.8))
+    stale = narrow_mode_center(SystemParams(delta_c=28.3, omega_c=14.8))
+    assert abs(peak - want) < 0.5
+    assert abs(want - stale) > 5.0
 
 
 def test_montecarlo_writes_histogram(tmp_path, capsys):
@@ -147,6 +151,13 @@ def test_modulate_files(tmp_path, capsys):
     assert np.all(carved["value"] <= plain["value"] + 1e-15)
 
 
+def test_modulate_without_config_starts_at_zero(tmp_path, capsys):
+    assert main(["modulate", "--out", str(tmp_path)]) == 0
+    assert "mask_start_ns:" not in capsys.readouterr().out
+    mask, _ = read_csv(tmp_path / "mask.csv")
+    assert mask["value"][0] == 1.0
+
+
 def test_budget_report(capsys):
     assert main(["budget", "--detected-rate", "2.18"]) == 0
     out = capsys.readouterr().out
@@ -161,10 +172,21 @@ def test_sweep_beat_periods(tmp_path, capsys):
     columns, _ = read_csv(tmp_path / "beat_periods.csv")
     np.testing.assert_allclose(columns["beat_period_ns"],
                                [22.52, 14.94, 10.44, 7.04], atol=0.05)
+    # narrow linewidth shrinks as the coupling is detuned further
+    assert columns["two_gamma_minus_gamma13"][-1] < columns["two_gamma_minus_gamma13"][0]
+
+
+def test_sweep_output_independent_of_out_flag(tmp_path):
+    cfgpath = _write_config(tmp_path, CONFIG + "sweep:\n  delta_c: [10.0, 30.0]\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["sweep", "--config", cfgpath, "--out", str(out)]) == 0
+    assert (a / "beat_periods.csv").read_bytes() == \
+        (b / "beat_periods.csv").read_bytes()
 
 
 def test_invalid_sweep_argument_exits_2(tmp_path, capsys):
-    assert main(["dressed", "--sweep", "oops"]) == 2
+    assert main(["sweep", "--delta-c-list", "oops", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

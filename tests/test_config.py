@@ -5,7 +5,8 @@ import textwrap
 
 import pytest
 
-from biphoton import SystemParams, ValidationError, dressed_modes
+from biphoton import DetectionConfig, SystemParams, ValidationError, dressed_modes
+from biphoton.cli import main
 from biphoton.config import config_from_dict, load_config
 from biphoton.filtering import narrow_mode_center
 
@@ -14,7 +15,6 @@ FULL = textwrap.dedent("""\
       delta_c: 28.3
       omega_c: 14.8
       gamma12: 0.084
-      od: 5.0
       gamma13_mhz: 3.0
     grid:
       tau_max_ns: 500.0
@@ -53,9 +53,11 @@ def test_empty_config_gives_defaults():
     assert cfg.grid.tau_max == 400.0
     assert cfg.grid.n_points == 2000
     assert cfg.filters == []
-    assert cfg.detection is None
+    assert cfg.detection == DetectionConfig()
     assert cfg.fit.model.which == "two_component"
-    assert cfg.mask is None
+    assert cfg.mask.start_auto is False
+    assert cfg.mask.mask.start_offset == 0.0
+    assert cfg.sweep_delta_c == [0.0, 16.7, 28.3, 45.0]
     assert cfg.output.directory == "out"
     assert cfg.output.timestamps is False
 
@@ -170,7 +172,21 @@ def test_malformed_yaml_raises(tmp_path):
         load_config(path)
 
 
-def test_output_format_choices():
-    assert config_from_dict({"output": {"format": "csv"}}).output.format == "csv"
-    with pytest.raises(ValidationError):
-        config_from_dict({"output": {"format": "parquet"}})
+@pytest.mark.parametrize("text", [
+    "sweep: {delta_c: [x]}",
+    "sweep: {delta_c: 5}",
+    "sweep: {delta_c: []}",
+    "system: 5",
+    "filter: 5",
+    "filter: [5]",
+    "grid: [1, 2]",
+    "mask: {samples: [a]}",
+    "output: {timestamps: 'false'}",
+    "[1, 2]",
+])
+def test_malformed_input_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text + "\n")
+    argv = ["--config", str(path), "--out", str(tmp_path), "--delta-c", "3"]
+    assert main(["sweep", *argv]) == 2
+    assert "error:" in capsys.readouterr().err

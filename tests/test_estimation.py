@@ -63,14 +63,6 @@ def test_round_trip_recovers_dressed_parameters():
     assert result.linewidth_hz == pytest.approx(want_hz, rel=0.05)
 
 
-def test_parameterizations_agree():
-    h = _histogram(measurement_time=240.0)
-    r1 = fit_wavepacket(h, FitModel("two_component", "plus_minus"))
-    r2 = fit_wavepacket(h, FitModel("two_component", "sum_diff"))
-    for name in ("gamma_plus", "gamma_minus", "omega_e", "amplitude"):
-        assert r1.estimates[name] == pytest.approx(r2.estimates[name], rel=1e-4)
-
-
 def test_stderr_shrinks_with_statistics():
     r_small = fit_wavepacket(_histogram(measurement_time=60.0),
                              FitModel("two_component"))

@@ -15,7 +15,6 @@ def test_default_parameter_values():
     assert p.gamma13 == 1.0
     assert p.gamma12 == pytest.approx(0.084)
     assert p.omega_c == pytest.approx(14.8)
-    assert p.od == 5.0
     assert p.si_gamma13 == pytest.approx(2.0 * math.pi * 3.0e6)
 
 
@@ -38,7 +37,6 @@ def test_rate_to_hz_linewidth_convention():
     ("gamma12", 1.0),     # must stay below gamma13
     ("gamma12", -0.1),
     ("omega_c", -1.0),
-    ("od", -2.0),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(Exception):
