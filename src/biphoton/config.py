@@ -111,7 +111,10 @@ def _section(name: str, given, allowed: set) -> dict:
 
 def _num(section: str, key: str, value) -> float:
     # YAML 1.1 reads exponents without a sign ("4.0e4") as strings, so
-    # coerce rather than trusting the loader's type
+    # coerce rather than trusting the loader's type; float(True) is 1.0,
+    # so booleans are rejected first
+    if isinstance(value, bool):
+        raise ValidationError(f"[{section}] {key} must be a number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -125,10 +128,16 @@ def _numbers(section: str, key: str, values) -> list[float]:
 
 
 def _intval(section: str, key: str, value) -> int:
+    """An int, or a float or numeric string with an integral value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"[{section}] {key} must be an integer") from exc
+        number = _num(section, key, value)
+    except ValidationError:
+        number = math.nan
+    if not number.is_integer():
+        raise ValidationError(f"[{section}] {key} must be an integer")
+    return int(number)
 
 
 def _system_from(d) -> SystemParams:

@@ -13,9 +13,9 @@ wavepackets, for calibration):
 
 Counts are weighted by 1/sqrt(max(counts, 1)), the Poisson error with a
 unit floor so empty bins cannot blow up the objective.  The optimizer
-is scipy's trust-region reflective least squares, which is
-deterministic for fixed inputs; convergence tolerances are pinned to
-ftol 1e-10 / xtol 1e-12.
+is scipy's trust-region reflective least squares (imported on the first
+fit), which is deterministic for fixed inputs; convergence tolerances
+are pinned to ftol 1e-10 / xtol 1e-12.
 
 The headline derived quantity is linewidth_hz = 2*gamma_minus converted
 to an ordinary frequency, the FWHM of the narrow spectral component.
@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateDataError, ValidationError
 from .params import DEFAULT_SI_GAMMA13
@@ -223,6 +222,8 @@ def fit_wavepacket(
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return (predict(dict(zip(names, x))) - y) / sigma
+
+    from scipy.optimize import least_squares  # loaded on the first fit
 
     res = least_squares(
         residuals, x0, bounds=(lo, hi), method="trf",

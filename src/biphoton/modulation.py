@@ -6,7 +6,8 @@ a programmable mask.  The mask acts on the detected intensity by
 default (the measured quantity is the coincidence profile); an
 amplitude convention squares the mask instead.  Edges are ideal unless
 a rise time is given, in which case a causal single-pole response
-smooths the mask.
+smooths the mask, computed as the direct recursion
+y[i] = alpha*mask[i] + (1 - alpha)*y[i-1].
 
 The front of an off-resonance wavepacket oscillates at the beat
 frequency omega_e while its tail decays smoothly at the narrow rate, so
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ValidationError
 from .filtering import estimate_beat_period_ns, modulation_depth_profile
@@ -85,7 +85,12 @@ def mask_values(m: ModulationMask, taus_ns: np.ndarray) -> np.ndarray:
 def _smooth_edges(mask: np.ndarray, tau_step: float, rise_time: float) -> np.ndarray:
     """Causal single-pole response with the given 10-90 style rise scale."""
     alpha = tau_step / (rise_time + tau_step)
-    return lfilter([alpha], [1.0, -(1.0 - alpha)], mask)
+    out = []
+    y = 0.0
+    for v in np.asarray(mask, dtype=float).tolist():
+        y = alpha * v + (1.0 - alpha) * y
+        out.append(y)
+    return np.array(out)
 
 
 def apply_mask(

@@ -183,6 +183,11 @@ def test_malformed_yaml_raises(tmp_path):
     "mask: {samples: [a]}",
     "output: {timestamps: 'false'}",
     "[1, 2]",
+    "grid: {n_points: 2000.9}",
+    "detection: {rng_seed: 7.9}",
+    "grid: {n_points: true}",
+    "detection: {rng_seed: true}",
+    "system: {omega_c: true}",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
@@ -190,3 +195,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, text):
     argv = ["--config", str(path), "--out", str(tmp_path), "--delta-c", "3"]
     assert main(["sweep", *argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_integral_float_and_numeric_string_accepted_as_integers():
+    cfg = config_from_dict({"grid": {"n_points": 2000.0},
+                            "detection": {"rng_seed": "7.0e1"}})
+    assert cfg.grid.n_points == 2000 and isinstance(cfg.grid.n_points, int)
+    assert cfg.detection.rng_seed == 70

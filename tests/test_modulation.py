@@ -18,6 +18,7 @@ from biphoton import (
     pulse_train_preview,
     suggest_mask_start,
 )
+from biphoton.modulation import _smooth_edges
 
 P = SystemParams(delta_c=28.3, omega_c=14.8)
 GRID = TimeGridConfig(tau_max=400.0, n_points=2000)
@@ -172,3 +173,17 @@ def test_square_trains_are_passive(width, sep, n, offset):
     out = apply_mask(W, m)
     assert np.all(out.g2 >= 0)
     assert np.all(out.g2 <= W.g2 + 1e-15)
+
+
+def test_smooth_edges_matches_lfilter_bitwise():
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        mask = (rng.uniform(size=2000) > 0.5) * rng.uniform(size=2000)
+        step, rise = GRID.tau_step, rng.uniform(0.1, 20.0)
+        alpha = step / (rise + step)
+        assert np.array_equal(
+            _smooth_edges(mask, step, rise),
+            lfilter([alpha], [1.0, -(1.0 - alpha)], mask),
+        )

@@ -19,6 +19,7 @@ from biphoton import (
     spectrum_energy,
     spectrum_power,
 )
+from biphoton.wavepacket import _czt, _fast_len
 
 
 def _draws(n, rng):
@@ -187,3 +188,55 @@ def test_wavepacket_validation():
     w = Wavepacket(0.0, 0.5, np.array([0.0, 1.0, 0.5, 0.2]))
     assert w.tau_max == pytest.approx(1.5)
     assert w.energy() > 0
+
+
+
+def _direct_czt(x, m, theta, phi):
+    """sum_j x_j * z_k^-j with z_k = exp(i*(phi + theta*k)), row block by block."""
+    j = np.arange(len(x))
+    out = np.empty(m, dtype=complex)
+    for start in range(0, m, 100):
+        k = np.arange(start, min(start + 100, m))[:, None]
+        out[start:start + len(k)] = np.exp(-1j * j * (phi + theta * k)) @ x
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(2 ** 14, 2000), (4099, 1500), (300, 2500)])
+def test_czt_matches_scipy_bitwise(n, m):
+    from scipy.signal import czt
+
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w, a = np.exp(-1j * 6e-5), np.exp(0.3j)
+    assert np.array_equal(_czt(x, m, w, a), czt(x, m=m, w=w, a=a))
+
+
+@pytest.mark.parametrize("n, m", [(1021, 300), (127, 400), (1024, 200)])
+def test_czt_matches_direct_sum(n, m):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    theta, phi = 0.003, 0.2
+    ref = _direct_czt(x, m, theta, phi)
+    got = _czt(x, m, np.exp(-1j * theta), np.exp(1j * phi))
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_czt_matches_direct_sum_at_transform_size():
+    # psi_numeric's own sizes: the chirp phase theta*k^2/2 reaches ~1e4 rad
+    # there, which bounds the agreement at ~1e-10 (scipy's czt alike)
+    p = SystemParams(delta_c=28.3, omega_c=14.8)
+    spec = chi3_full(p, default_frequency_grid(p))
+    grid = TimeGridConfig()
+    theta = spec.omega_step * grid.tau_step / p.time_unit_ns
+    x = np.asarray(spec.values) * spec.omega_step
+    ref = _direct_czt(x, grid.n_points, theta, 0.0)
+    got = _czt(x, grid.n_points, np.exp(-1j * theta), np.exp(0j))
+    assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n) for n in range(1, 5001)
+    ]
