@@ -34,6 +34,7 @@ from .wavepacket import (
     g2_analytic,
     g2_resonant,
     psi_numeric,
+    psi_poles,
     spectrum_energy,
     spectrum_power,
 )
@@ -44,6 +45,7 @@ from .filtering import (
     broadband_etalon,
     estimate_beat_period_ns,
     etalon_amplitude,
+    filtered_wavepacket,
     mhz_to_gamma13,
     modulation_depth_profile,
     narrow_mode_center,
@@ -82,10 +84,11 @@ __all__ = [
     "cauchy_schwarz", "chi3_approx", "chi3_full", "component_weights",
     "default_frequency_grid", "dressed_modes", "estimate_beat_period_ns",
     "etalon_amplitude", "exact_poles", "expected_accidental_floor",
-    "fit_wavepacket", "g2_analytic", "g2_resonant", "histogram_metadata",
-    "initial_guess", "loss_budget_rate", "mask_values", "mhz_to_gamma13",
-    "modulation_depth_profile", "narrow_mode_center", "narrowband_etalon",
-    "normalized_cross_correlation", "psi_numeric", "pulse_train_preview",
+    "filtered_wavepacket", "fit_wavepacket", "g2_analytic", "g2_resonant",
+    "histogram_metadata", "initial_guess", "loss_budget_rate", "mask_values",
+    "mhz_to_gamma13", "modulation_depth_profile", "narrow_mode_center",
+    "narrowband_etalon", "normalized_cross_correlation", "psi_numeric",
+    "psi_poles", "pulse_train_preview",
     "read_csv", "read_histogram", "simulate_coincidences",
     "spectrum_energy", "spectrum_power", "suggest_mask_start",
     "write_csv", "write_histogram",

@@ -28,6 +28,7 @@ from .estimation import FitModel, fit_wavepacket, initial_guess
 from .filtering import (
     apply_filter,
     beat_suppression,
+    filtered_wavepacket,
     narrow_mode_center,
     narrowband_etalon,
 )
@@ -201,9 +202,18 @@ def cmd_dressed(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _spectra(cfg: RunConfig, filters):
+    """Frequency grid, chi3_full on it, and that spectrum through the filters."""
     omegas = default_frequency_grid(cfg.system, cfg.freq_points)
     full = chi3_full(cfg.system, omegas)
+    filtered = full
+    for f in filters:
+        filtered = apply_filter(filtered, f)
+    return omegas, full, filtered
+
+
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+    omegas, full, filtered = _spectra(cfg, cfg.filters)
     approx = chi3_approx(cfg.system, omegas)
     out = _outdir(cfg)
     write_csv(out / "spectrum_full.csv",
@@ -214,9 +224,6 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
               _meta(cfg, "spectrum", curve="two_pole"), cfg.output.timestamps)
     written = ["spectrum_full.csv", "spectrum_approx.csv"]
     if cfg.filters:
-        filtered = full
-        for f in cfg.filters:
-            filtered = apply_filter(filtered, f)
         rel = np.abs(filtered.values) ** 2 / np.abs(full.values).max() ** 2
         write_csv(out / "spectrum_filtered.csv",
                   {"omega_over_gamma13": omegas, "value": rel},
@@ -229,7 +236,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
     analytic = g2_analytic(cfg.system, grid=cfg.grid)
-    omegas = default_frequency_grid(cfg.system, cfg.freq_points)
+    omegas, full, _ = _spectra(cfg, [])
     spectrum = chi3_approx(cfg.system, omegas)
     numeric = psi_numeric(spectrum, cfg.grid, cfg.system)
     out = _outdir(cfg)
@@ -239,7 +246,6 @@ def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_csv(out / "wavepacket_numeric.csv",
               {"tau_ns": numeric.taus, "value": numeric.g2},
               _meta(cfg, "wavepacket", curve="numeric"), cfg.output.timestamps)
-    full = chi3_full(cfg.system, omegas)
     write_csv(out / "spectrum_power.csv",
               {"omega_over_gamma13": omegas, "value": spectrum_power(full)},
               _meta(cfg, "wavepacket", curve="spectrum"), cfg.output.timestamps)
@@ -254,14 +260,10 @@ def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.system
     filters = cfg.filters or [narrowband_etalon(narrow_mode_center(p), p)]
-    omegas = default_frequency_grid(p, cfg.freq_points)
-    full = chi3_full(p, omegas)
-    filtered = full
-    for f in filters:
-        filtered = apply_filter(filtered, f)
-    before = psi_numeric(full, cfg.grid, p)
-    after = psi_numeric(filtered, cfg.grid, p)
-    depth_before, depth_after = beat_suppression(before, after)
+    omegas, full, filtered = _spectra(cfg, filters)
+    before = filtered_wavepacket(p, [], cfg.grid)
+    after = filtered_wavepacket(p, filters, cfg.grid)
+    depth_before, depth_after = beat_suppression(before, after, beat_period(p))
     out = _outdir(cfg)
     peak = np.abs(full.values).max() ** 2
     write_csv(out / "spectrum_unfiltered.csv",
@@ -287,14 +289,10 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _model_wavepacket(cfg: RunConfig):
-    """Analytic model, or the filtered numeric one when filters are set."""
+    """Analytic two-pole model, or the exact filtered one when filters are set."""
     if not cfg.filters:
         return g2_analytic(cfg.system, grid=cfg.grid)
-    omegas = default_frequency_grid(cfg.system, cfg.freq_points)
-    spectrum = chi3_full(cfg.system, omegas)
-    for f in cfg.filters:
-        spectrum = apply_filter(spectrum, f)
-    return psi_numeric(spectrum, cfg.grid, cfg.system)
+    return filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
 
 
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -349,7 +347,7 @@ def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     w = _model_wavepacket(cfg)
     mask = settings.mask
     if settings.start_auto:
-        start = suggest_mask_start(w)
+        start = suggest_mask_start(w, beat_period(cfg.system))
         mask = dataclasses.replace(mask, start_offset=start)
         print(f"mask_start_ns: {start:.6g}")
     masked = apply_mask(w, mask, settings.delay_ns, settings.convention,

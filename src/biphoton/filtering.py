@@ -6,9 +6,17 @@ amplitude response
     t(omega) = sqrt(T_peak) * (i*Gamma/2) / ((omega - center) + i*Gamma/2)
 
 whose intensity transmission is Lorentzian with FWHM Gamma and peak
-T_peak.  The free spectral range only guards the single-mode regime:
-grids wider than one FSR would see the neighboring transmission order,
-which this model does not contain, so they are rejected.
+T_peak: one pole at center - i*Gamma/2 with the numerator
+sqrt(T_peak)*i*Gamma/2 (etalon_pole).  The free spectral range only
+guards the single-mode regime: grids wider than one FSR would see the
+neighboring transmission order, which this model does not contain, so
+they are rejected.
+
+chi3_full is itself rational, with the two roots of D(omega) as poles,
+so a filtered spectrum is rational too: filtered_wavepacket appends one
+pole and multiplies in one numerator per etalon, and transforms the
+result exactly by the residue sum of wavepacket.psi_poles, without
+sampling the spectrum.
 
 Passing the anti-Stokes amplitude through a narrow etalon centered on
 the narrow dressed mode removes the second interference path; the
@@ -24,8 +32,8 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .params import SystemParams, dressed_modes
-from .susceptibility import ComplexSpectrum
-from .wavepacket import Wavepacket
+from .susceptibility import ComplexSpectrum, default_frequency_grid, exact_poles
+from .wavepacket import TimeGridConfig, Wavepacket, psi_poles
 
 # instrument presets, quoted by their SI data sheets and converted with
 # the default si_gamma13 = 2*pi*3 MHz: 1 MHz of ordinary frequency is
@@ -84,16 +92,26 @@ def narrow_mode_center(p: SystemParams) -> float:
     return dressed_modes(p).narrow_detuning
 
 
-def etalon_amplitude(f: EtalonFilter, omegas: np.ndarray) -> ComplexSpectrum:
-    """Causal single-pole amplitude response sampled on a frequency grid."""
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.min() < f.center - 0.5 * f.fsr or omegas.max() > f.center + 0.5 * f.fsr:
+def etalon_pole(f: EtalonFilter) -> tuple[complex, complex]:
+    """(pole, numerator) of the response: t(omega) = numerator / (omega - pole)."""
+    half = 0.5 * f.fwhm
+    return complex(f.center, -half), np.sqrt(f.peak_transmission) * (1j * half)
+
+
+def _check_single_order(f: EtalonFilter, omega_lo: float, omega_hi: float) -> None:
+    if omega_lo < f.center - 0.5 * f.fsr or omega_hi > f.center + 0.5 * f.fsr:
         raise GridError(
             "grid extends beyond one free spectral range; adjacent orders "
             "are not modeled"
         )
-    half = 0.5 * f.fwhm
-    vals = np.sqrt(f.peak_transmission) * (1j * half) / ((omegas - f.center) + 1j * half)
+
+
+def etalon_amplitude(f: EtalonFilter, omegas: np.ndarray) -> ComplexSpectrum:
+    """Causal single-pole amplitude response sampled on a frequency grid."""
+    omegas = np.asarray(omegas, dtype=float)
+    _check_single_order(f, omegas.min(), omegas.max())
+    pole, numerator = etalon_pole(f)
+    vals = numerator / (omegas - pole)
     step = float(np.diff(omegas).mean())
     return ComplexSpectrum(float(omegas[0]), step, vals)
 
@@ -102,6 +120,27 @@ def apply_filter(spectrum: ComplexSpectrum, f: EtalonFilter) -> ComplexSpectrum:
     """Multiply a spectral amplitude by the etalon response, same grid."""
     response = etalon_amplitude(f, spectrum.omegas)
     return spectrum.with_values(spectrum.values * response.values)
+
+
+def filtered_wavepacket(
+    p: SystemParams, filters: list[EtalonFilter], grid: TimeGridConfig
+) -> Wavepacket:
+    """Exact wavepacket of chi3_full passed through the etalons in turn.
+
+    psi_poles over the two roots of D(omega) plus each etalon's pole, so
+    no spectrum is sampled; no filters gives the unfiltered wavepacket.
+    Each etalon must hold default_frequency_grid within one free spectral
+    range, as apply_filter requires of the sampled spectrum.
+    """
+    omega_lo, omega_hi = default_frequency_grid(p, 2)
+    scale = -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14))
+    poles = list(exact_poles(p))
+    for f in filters:
+        _check_single_order(f, omega_lo, omega_hi)
+        pole, numerator = etalon_pole(f)
+        poles.append(pole)
+        scale *= numerator
+    return psi_poles(scale, poles, grid, p)
 
 
 def estimate_beat_period_ns(w: Wavepacket) -> float:

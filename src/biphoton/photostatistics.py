@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,21 +61,6 @@ class DetectionConfig:
             raise ValidationError("bin_width must be positive")
         if not (self.measurement_time > 0):
             raise ValidationError("measurement_time must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_rate": self.pair_rate,
-            "qe_stokes": self.qe_stokes,
-            "qe_antistokes": self.qe_antistokes,
-            "channel_t_stokes": self.channel_t_stokes,
-            "channel_t_antistokes": self.channel_t_antistokes,
-            "duty_cycle": self.duty_cycle,
-            "measurement_time": self.measurement_time,
-            "bin_width": self.bin_width,
-            "background_s": self.background_s,
-            "background_as": self.background_as,
-            "rng_seed": self.rng_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -305,7 +290,7 @@ def histogram_metadata(h: CoincidenceHistogram, cfg: DetectionConfig | None = No
         "measurement_time_s": h.measurement_time,
     }
     if cfg is not None:
-        meta["detection"] = cfg.to_dict()
+        meta["detection"] = asdict(cfg)
         meta["seed"] = cfg.rng_seed
     if extra:
         meta.update(extra)

@@ -7,17 +7,22 @@ is analytic in the lower half plane.
 
 Two routes produce G2:
 
-* g2_analytic: closed form from the residues of the two-pole spectrum,
+* psi_poles: exact transform of a rational spectrum
+  scale / prod_k (omega - r_k) with its poles in the lower half plane,
+  one residue per pole (closing the contour below):
+      psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
+  for tau >= 0 and zero before.  g2_analytic is this sum over the two
+  approximate poles and filtering.filtered_wavepacket over the two exact
+  roots of D(omega) plus one pole per etalon.  The two-pole G2 reads
       G2 ~ exp(-2*gamma_plus*tau) + exp(-2*gamma_minus*tau)
            - 2*cos(omega_e*tau)*exp(-(gamma_plus+gamma_minus)*tau)
   (zero at tau = 0: the two dressed paths interfere destructively).
 * psi_numeric: direct quadrature of the Fourier integral for arbitrary
-  spectra (filtered ones in particular), implemented as a chirp-z
-  transform with trapezoid weights plus an analytic correction for the
-  truncated 1/omega^2 tails.  The chirp-z transform is Bluestein's
-  algorithm on numpy's FFT (Rabiner, Schafer & Rader 1969), so no
-  signal-processing library is loaded; scipy.special is imported on the
-  first tail correction.
+  sampled spectra, implemented as a chirp-z transform with trapezoid
+  weights plus an analytic correction for the truncated 1/omega^2
+  tails.  The chirp-z transform is Bluestein's algorithm on numpy's FFT
+  (Rabiner, Schafer & Rader 1969), so no signal-processing library is
+  loaded; scipy.special is imported on the first tail correction.
 
 The two agree to better than 1e-3 on the default grids; the acceptance
 suite pins that equivalence.
@@ -26,13 +31,14 @@ suite pins that equivalence.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import DegenerateInputError, GridError, ValidationError
 from .params import AmplitudeModel, SystemParams, dressed_modes
-from .susceptibility import ComplexSpectrum
+from .susceptibility import ComplexSpectrum, approx_poles
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,34 @@ class Wavepacket:
         return Wavepacket(self.tau_min, self.tau_step, np.asarray(g2), None)
 
 
+def psi_poles(
+    scale: complex, poles: Sequence[complex], grid: TimeGridConfig, p: SystemParams
+) -> Wavepacket:
+    """Exact transform of the rational spectrum scale / prod_k (omega - r_k).
+
+    psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
+    for tau >= 0 and zero for tau < 0, the residue sum over the poles r_k
+    (gamma13 units), which must all lie in the lower half plane.  The
+    SystemParams argument only supplies the ns <-> gamma13 time
+    conversion.  Coincident poles form a higher-order pole that this sum
+    does not cover; they raise DegenerateInputError.
+    """
+    poles = [complex(r) for r in poles]
+    t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
+    # only tau >= 0: before it every exp(-i*r*t) grows and can overflow
+    late = t >= 0
+    psi = np.zeros(len(t), dtype=complex)
+    for k, r in enumerate(poles):
+        others = poles[:k] + poles[k + 1:]
+        if r in others:
+            raise DegenerateInputError(
+                f"coincident poles at {r:.6g}: the residue sum needs simple poles"
+            )
+        psi[late] += np.exp(-1j * r * t[late]) / np.prod([r - q for q in others])
+    psi *= -1j * scale
+    return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)
+
+
 def g2_analytic(
     p: SystemParams, a: AmplitudeModel | None = None, grid: TimeGridConfig | None = None
 ) -> Wavepacket:
@@ -107,27 +141,17 @@ def g2_analytic(
     G2(tau) = |C|^2 * [exp(-2*g+*tau) + exp(-2*g-*tau)
               - 2*cos(omega_e*tau)*exp(-(g+ + g-)*tau)] for tau >= 0,
     zero for tau < 0, with C = scale * i / (4*(delta_p + i*gamma14)
-    * (pole_n - pole_b)): exactly the residue amplitude of the inverse
-    transform of the two-pole spectrum, so psi_numeric reproduces this
-    curve in absolute units, not just in shape.
+    * (pole_n - pole_b)): psi_poles over approx_poles, exactly the
+    inverse transform of chi3_approx times the amplitude scale, so
+    psi_numeric reproduces this curve in absolute units, not just in
+    shape.
     """
     if a is None:
         a = AmplitudeModel()
     if grid is None:
         grid = TimeGridConfig()
-    d = dressed_modes(p)
-    t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
-    pole_n = complex(d.delta_minus, -d.gamma_minus)
-    pole_b = complex(d.delta_plus, -d.gamma_plus)
-    amp = a.scale * 1j / (
-        4.0 * (p.delta_p + 1j * p.gamma14) * (pole_n - pole_b)
-    )
-    psi = amp * (np.exp(-1j * pole_n * t) - np.exp(-1j * pole_b * t))
-    psi[t < 0] = 0.0
-    g2 = np.abs(psi) ** 2
-    # kill the tiny negative rounding noise at tau = 0 where g2 vanishes
-    np.maximum(g2, 0.0, out=g2)
-    return Wavepacket(grid.tau_min, grid.tau_step, g2, psi)
+    scale = -a.scale / (4.0 * (p.delta_p + 1j * p.gamma14))
+    return psi_poles(scale, approx_poles(p), grid, p)
 
 
 def g2_resonant(
@@ -232,15 +256,14 @@ def psi_numeric(
     spectrum: ComplexSpectrum,
     grid: TimeGridConfig | None = None,
     p: SystemParams | None = None,
-    tail_correction: bool = True,
 ) -> Wavepacket:
     """Fourier-transform a sampled spectrum to the time domain.
 
     psi(tau) = (1/2pi) * sum of values * exp(-i*omega*tau) with trapezoid
     weights, evaluated on the uniform tau grid by a chirp-z transform.
-    With tail_correction the 1/omega^2 + 1/omega^3 continuation of both
-    truncated tails is integrated in closed form and added back, which
-    removes the dominant truncation error of decaying spectra.
+    The 1/omega^2 + 1/omega^3 continuation of both truncated tails is
+    integrated in closed form and added back, which removes the dominant
+    truncation error of decaying spectra.
 
     The SystemParams argument only supplies the ns <-> gamma13 time
     conversion (default parameters are used when omitted).
@@ -289,19 +312,18 @@ def psi_numeric(
     psi *= np.exp(-1j * spectrum.omega_min * taus_u)
     psi /= 2.0 * np.pi
 
-    if tail_correction:
-        n_edge = max(8, len(vals) // 100)
-        c2r, c3r = _tail_coeffs(omegas[-n_edge:], vals[-n_edge:])
-        c2l, c3l = _tail_coeffs(omegas[:n_edge], vals[:n_edge])
-        w_r = spectrum.omega_max
-        w_l = -spectrum.omega_min
-        if w_r > 0 and w_l > 0:
-            right = c2r * _tail_t2(w_r, taus_u) + c3r * _tail_t3(w_r, taus_u)
-            # left tail by omega -> -omega: the 1/omega^3 term flips sign
-            left = c2l * np.conj(_tail_t2(w_l, taus_u)) - c3l * np.conj(
-                _tail_t3(w_l, taus_u)
-            )
-            psi = psi + (right + left) / (2.0 * np.pi)
+    n_edge = max(8, len(vals) // 100)
+    c2r, c3r = _tail_coeffs(omegas[-n_edge:], vals[-n_edge:])
+    c2l, c3l = _tail_coeffs(omegas[:n_edge], vals[:n_edge])
+    w_r = spectrum.omega_max
+    w_l = -spectrum.omega_min
+    if w_r > 0 and w_l > 0:
+        right = c2r * _tail_t2(w_r, taus_u) + c3r * _tail_t3(w_r, taus_u)
+        # left tail by omega -> -omega: the 1/omega^3 term flips sign
+        left = c2l * np.conj(_tail_t2(w_l, taus_u)) - c3l * np.conj(
+            _tail_t3(w_l, taus_u)
+        )
+        psi = psi + (right + left) / (2.0 * np.pi)
 
     return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)
 

@@ -190,6 +190,22 @@ def test_invalid_sweep_argument_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["montecarlo", "modulate"])
+def test_filter_wider_grid_than_fsr_exits_2(sub, tmp_path, capsys):
+    # the frequency grid spans more than one 0.1 GHz free spectral range
+    cfg = _write_config(tmp_path, CONFIG + "    fsr_ghz: 0.1\n")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "free spectral range" in capsys.readouterr().err
+
+
+def test_filtered_montecarlo_at_double_root_exits_2(tmp_path, capsys):
+    # delta_c = 0, omega_c = gamma13 - gamma12: D(omega) has a double root
+    cfg = _write_config(tmp_path)
+    assert main(["montecarlo", "--config", cfg, "--delta-c", "0",
+                 "--omega-c", "0.916", "--out", str(tmp_path)]) == 2
+    assert "coincident poles" in capsys.readouterr().err
+
+
 def test_invalid_physics_exits_2(capsys):
     assert main(["dressed", "--omega-c", "-1.0"]) == 2
 

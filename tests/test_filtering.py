@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    DegenerateInputError,
     EtalonFilter,
     GridError,
     SystemParams,
@@ -18,13 +19,25 @@ from biphoton import (
     dressed_modes,
     estimate_beat_period_ns,
     etalon_amplitude,
+    filtered_wavepacket,
     g2_analytic,
     mhz_to_gamma13,
     modulation_depth_profile,
     narrow_mode_center,
     narrowband_etalon,
     psi_numeric,
+    psi_poles,
+    spectrum_energy,
 )
+
+# (delta_c, omega_c) of filtered operating points, narrow line selected
+FILTERED_POINTS = [(28.3, 14.8), (28.3, 16.0), (16.7, 14.8), (45.0, 20.0),
+                   (-30.0, 20.0), (0.0, 14.8)]
+
+
+def _narrow_filters(p, both=False):
+    f = narrowband_etalon(narrow_mode_center(p), p)
+    return [f, broadband_etalon(f.center, p)] if both else [f]
 
 
 def test_mhz_conversion_roundtrip():
@@ -194,3 +207,57 @@ def test_mismatched_grids_rejected(detuned_params):
     w2 = g2_analytic(detuned_params, grid=TimeGridConfig(400.0, 1000))
     with pytest.raises(ValidationError):
         beat_suppression(w1, w2)
+
+
+@pytest.mark.parametrize("dc, oc", FILTERED_POINTS)
+def test_numeric_matches_exact_filtered_wavepacket(dc, oc, default_grid):
+    # psi_numeric of the sampled filtered spectrum against the residue
+    # sum, to psi_numeric's stated accuracy: 1e-3 of the peak over the
+    # grid, 5e-6 beyond 10 ns
+    p = SystemParams(delta_c=dc, omega_c=oc)
+    filters = _narrow_filters(p)
+    spec = apply_filter(chi3_full(p, default_frequency_grid(p)), filters[0])
+    exact = filtered_wavepacket(p, filters, default_grid).psi
+    numeric = psi_numeric(spec, default_grid, p).psi
+    peak = np.max(np.abs(exact))
+    assert np.max(np.abs(numeric - exact)) < 1e-3 * peak
+    late = default_grid.taus >= 10.0
+    assert np.max(np.abs(numeric[late] - exact[late])) < 5e-6 * peak
+
+
+@pytest.mark.parametrize("both", [False, True])
+@pytest.mark.parametrize("dc, oc", FILTERED_POINTS)
+def test_filtered_wavepacket_parseval(dc, oc, both):
+    # an oracle without psi_numeric: the residue sum's energy equals the
+    # spectral energy of the sampled filtered spectrum
+    p = SystemParams(delta_c=dc, omega_c=oc)
+    filters = _narrow_filters(p, both)
+    d = dressed_modes(p)
+    slowest = min(d.gamma_plus, d.gamma_minus, 0.5 * filters[0].fwhm)
+    grid = TimeGridConfig(tau_max=12.0 / slowest * p.time_unit_ns, n_points=6000)
+    spec = chi3_full(p, default_frequency_grid(p))
+    for f in filters:
+        spec = apply_filter(spec, f)
+    w = filtered_wavepacket(p, filters, grid)
+    assert w.energy() / p.time_unit_ns == pytest.approx(spectrum_energy(spec), rel=1e-6)
+
+
+def test_coincident_poles_rejected(default_grid):
+    p = SystemParams()
+    with pytest.raises(DegenerateInputError):
+        psi_poles(1.0, [complex(2.0, -1.0), complex(2.0, -1.0)], default_grid, p)
+    # delta_c = 0 with omega_c = gamma13 - gamma12 makes D(omega) a square
+    double_root = SystemParams(delta_c=0.0, omega_c=1.0 - 0.084)
+    with pytest.raises(DegenerateInputError):
+        filtered_wavepacket(double_root, _narrow_filters(double_root), default_grid)
+
+
+@pytest.mark.filterwarnings("error")
+def test_filtered_wavepacket_zero_before_origin(detuned_params):
+    # a broadband etalon's fast pole would overflow exp(-i*r*tau) at
+    # tau << 0, where the causal wavepacket is exactly zero
+    p = detuned_params
+    grid = TimeGridConfig(tau_min=-600.0, tau_max=400.0, n_points=2000)
+    w = filtered_wavepacket(p, [broadband_etalon(narrow_mode_center(p), p)], grid)
+    assert np.all(w.g2[w.taus < 0] == 0)
+    assert w.g2.max() > 0

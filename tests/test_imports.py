@@ -36,6 +36,26 @@ print(json.dumps(seen))
     assert seen == {"import": [], "dressed": [], "sweep": []}
 
 
+def test_filtered_cli_runs_load_no_scipy(tmp_path):
+    # filtered models are transformed by the residue sum, not psi_numeric
+    config = tmp_path / "run.yaml"
+    config.write_text("system:\n  delta_c: 28.3\nfilter:\n  - center_gamma13: narrow\n"
+                      "detection:\n  measurement_time: 10.0\n"
+                      "mask:\n  start_offset_ns: auto\n")
+    out = str(tmp_path)
+    seen = _run(f"""
+import json, sys
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import biphoton.cli
+seen = {{}}
+for sub in ("filter", "montecarlo", "modulate"):
+    assert biphoton.cli.main([sub, "--config", {str(config)!r}, "--out", {out!r}]) == 0
+    seen[sub] = scipy()
+print(json.dumps(seen))
+""")
+    assert seen == {"filter": [], "montecarlo": [], "modulate": []}
+
+
 def test_transform_loads_special_not_signal():
     seen = _run("""
 import json, sys
