@@ -6,17 +6,12 @@ amplitude response
     t(omega) = sqrt(T_peak) * (i*Gamma/2) / ((omega - center) + i*Gamma/2)
 
 whose intensity transmission is Lorentzian with FWHM Gamma and peak
-T_peak: one pole at center - i*Gamma/2 with the numerator
-sqrt(T_peak)*i*Gamma/2 (etalon_pole).  The free spectral range only
-guards the single-mode regime: grids wider than one FSR would see the
-neighboring transmission order, which this model does not contain, so
-they are rejected.
+T_peak.  The free spectral range only guards the single-mode regime:
+grids wider than one FSR would see the neighboring transmission order,
+which this model does not contain, so they are rejected.
 
-chi3_full is itself rational, with the two roots of D(omega) as poles,
-so a filtered spectrum is rational too: filtered_wavepacket appends one
-pole and multiplies in one numerator per etalon, and transforms the
-result exactly by the residue sum of wavepacket.psi_poles, without
-sampling the spectrum.
+A filtered chi3_full stays rational; filtered_wavepacket transforms it
+by the shared residue sum, wavepacket.psi_poles.
 
 Passing the anti-Stokes amplitude through a narrow etalon centered on
 the narrow dressed mode removes the second interference path; the

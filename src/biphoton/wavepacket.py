@@ -7,13 +7,8 @@ is analytic in the lower half plane.
 
 Two routes produce G2:
 
-* psi_poles: exact transform of a rational spectrum
-  scale / prod_k (omega - r_k) with its poles in the lower half plane,
-  one residue per pole (closing the contour below):
-      psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
-  for tau >= 0 and zero before.  g2_analytic is this sum over the two
-  approximate poles and filtering.filtered_wavepacket over the two exact
-  roots of D(omega) plus one pole per etalon.  The two-pole G2 reads
+* psi_poles: closed form from the residues of a rational spectrum,
+  behind g2_analytic and filtering.filtered_wavepacket; for two poles
       G2 ~ exp(-2*gamma_plus*tau) + exp(-2*gamma_minus*tau)
            - 2*cos(omega_e*tau)*exp(-(gamma_plus+gamma_minus)*tau)
   (zero at tau = 0: the two dressed paths interfere destructively).
@@ -31,12 +26,13 @@ suite pins that equivalence.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, GridError, ValidationError
+from .errors import GridError, ValidationError
 from .params import AmplitudeModel, SystemParams, dressed_modes
 from .susceptibility import ComplexSpectrum, approx_poles
 
@@ -112,23 +108,30 @@ def psi_poles(
 
     psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
     for tau >= 0 and zero for tau < 0, the residue sum over the poles r_k
-    (gamma13 units), which must all lie in the lower half plane.  The
-    SystemParams argument only supplies the ns <-> gamma13 time
-    conversion.  Coincident poles form a higher-order pole that this sum
-    does not cover; they raise DegenerateInputError.
+    (gamma13 units), which must all lie in the lower half plane.  A pole
+    listed m times contributes its order-m residue, the (m-1)-th Taylor
+    coefficient about it of exp(-i*omega*tau) / prod_j (omega - q_j) over
+    the other poles q_j.  The SystemParams argument only supplies the
+    ns <-> gamma13 time conversion.
     """
     poles = [complex(r) for r in poles]
     t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
     # only tau >= 0: before it every exp(-i*r*t) grows and can overflow
     late = t >= 0
+    t_late = t[late]
     psi = np.zeros(len(t), dtype=complex)
-    for k, r in enumerate(poles):
-        others = poles[:k] + poles[k + 1:]
-        if r in others:
-            raise DegenerateInputError(
-                f"coincident poles at {r:.6g}: the residue sum needs simple poles"
-            )
-        psi[late] += np.exp(-1j * r * t[late]) / np.prod([r - q for q in others])
+    for r, order in Counter(poles).items():
+        d = np.array([q - r for q in poles if q != r], dtype=complex)
+        # a_n: Taylor coefficients about r of exp(g), g(omega) =
+        # -i*omega*t - sum_j log(omega - q_j); with c_k those of g',
+        # n*a_n = sum_k c_k*a_{n-1-k}
+        c = [np.sum(d ** -(k + 1)) for k in range(order - 1)]
+        if order > 1:
+            c[0] = c[0] - 1j * t_late
+        a = [np.exp(-1j * r * t_late) / np.prod(-d)]
+        for n in range(1, order):
+            a.append(sum(c[k] * a[n - 1 - k] for k in range(n)) / n)
+        psi[late] += a[-1]
     psi *= -1j * scale
     return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)
 
@@ -141,10 +144,8 @@ def g2_analytic(
     G2(tau) = |C|^2 * [exp(-2*g+*tau) + exp(-2*g-*tau)
               - 2*cos(omega_e*tau)*exp(-(g+ + g-)*tau)] for tau >= 0,
     zero for tau < 0, with C = scale * i / (4*(delta_p + i*gamma14)
-    * (pole_n - pole_b)): psi_poles over approx_poles, exactly the
-    inverse transform of chi3_approx times the amplitude scale, so
-    psi_numeric reproduces this curve in absolute units, not just in
-    shape.
+    * (pole_n - pole_b)): psi_poles over approx_poles, so psi_numeric
+    reproduces this curve in absolute units, not just in shape.
     """
     if a is None:
         a = AmplitudeModel()

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from biphoton import SystemParams, narrow_mode_center, read_csv, read_histogram
+from biphoton import (
+    SystemParams,
+    apply_filter,
+    chi3_full,
+    default_frequency_grid,
+    exact_poles,
+    narrow_mode_center,
+    psi_numeric,
+    read_csv,
+    read_histogram,
+)
 from biphoton.cli import main
+from biphoton.config import config_from_dict, load_config, read_config_file
 
 CONFIG = """\
 system:
@@ -198,12 +209,40 @@ def test_filter_wider_grid_than_fsr_exits_2(sub, tmp_path, capsys):
     assert "free spectral range" in capsys.readouterr().err
 
 
-def test_filtered_montecarlo_at_double_root_exits_2(tmp_path, capsys):
+def _g2_within_1e3_of_numeric(path, cfg):
+    # a CLI wavepacket CSV against psi_numeric of the sampled spectrum
+    # through the same filters
+    p = cfg.system
+    spec = chi3_full(p, default_frequency_grid(p))
+    for f in cfg.filters:
+        spec = apply_filter(spec, f)
+    numeric = psi_numeric(spec, cfg.grid, p).g2
+    columns, _ = read_csv(path)
+    g2 = np.asarray(columns["value"])
+    return np.max(np.abs(g2 - numeric)) < 1e-3 * numeric.max()
+
+
+def test_filtered_runs_at_double_root(tmp_path):
     # delta_c = 0, omega_c = gamma13 - gamma12: D(omega) has a double root
+    assert len(set(exact_poles(SystemParams(delta_c=0.0, omega_c=0.916)))) == 1
     cfg = _write_config(tmp_path)
-    assert main(["montecarlo", "--config", cfg, "--delta-c", "0",
-                 "--omega-c", "0.916", "--out", str(tmp_path)]) == 2
-    assert "coincident poles" in capsys.readouterr().err
+    flags = ["--config", cfg, "--delta-c", "0", "--omega-c", "0.916",
+             "--out", str(tmp_path)]
+    assert main(["montecarlo", *flags]) == 0
+    assert main(["modulate", *flags]) == 0
+    resolved = config_from_dict({**read_config_file(cfg),
+                                 "system": {"delta_c": 0.0, "omega_c": 0.916}})
+    assert _g2_within_1e3_of_numeric(tmp_path / "wavepacket_unmasked.csv", resolved)
+
+
+def test_filter_with_two_identical_etalons(tmp_path):
+    text = CONFIG.replace("    fwhm_mhz: 15.0\n",
+                          "    fwhm_mhz: 15.0\n  - center_gamma13: narrow\n")
+    cfg = _write_config(tmp_path, text)
+    assert main(["filter", "--config", cfg, "--out", str(tmp_path)]) == 0
+    resolved = load_config(cfg)
+    assert len(resolved.filters) == 2
+    assert _g2_within_1e3_of_numeric(tmp_path / "wavepacket_filtered.csv", resolved)
 
 
 def test_invalid_physics_exits_2(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    DegenerateInputError,
     EtalonFilter,
     GridError,
     SystemParams,
@@ -209,14 +208,21 @@ def test_mismatched_grids_rejected(detuned_params):
         beat_suppression(w1, w2)
 
 
-@pytest.mark.parametrize("dc, oc", FILTERED_POINTS)
-def test_numeric_matches_exact_filtered_wavepacket(dc, oc, default_grid):
+@pytest.mark.parametrize("dc, oc, n_filters", [
+    *((dc, oc, 1) for dc, oc in FILTERED_POINTS),
+    (0.0, 1.0 - 0.084, 1),  # omega_c = gamma13 - gamma12: D(omega) is a square
+    (28.3, 14.8, 2),  # two identical etalons: a double etalon pole
+    (28.3, 14.8, 3),
+])
+def test_numeric_matches_exact_filtered_wavepacket(dc, oc, n_filters, default_grid):
     # psi_numeric of the sampled filtered spectrum against the residue
     # sum, to psi_numeric's stated accuracy: 1e-3 of the peak over the
     # grid, 5e-6 beyond 10 ns
     p = SystemParams(delta_c=dc, omega_c=oc)
-    filters = _narrow_filters(p)
-    spec = apply_filter(chi3_full(p, default_frequency_grid(p)), filters[0])
+    filters = _narrow_filters(p) * n_filters
+    spec = chi3_full(p, default_frequency_grid(p))
+    for f in filters:
+        spec = apply_filter(spec, f)
     exact = filtered_wavepacket(p, filters, default_grid).psi
     numeric = psi_numeric(spec, default_grid, p).psi
     peak = np.max(np.abs(exact))
@@ -242,14 +248,16 @@ def test_filtered_wavepacket_parseval(dc, oc, both):
     assert w.energy() / p.time_unit_ns == pytest.approx(spectrum_energy(spec), rel=1e-6)
 
 
-def test_coincident_poles_rejected(default_grid):
+@pytest.mark.parametrize("order", [2, 3])
+def test_repeated_pole_is_the_limit_of_split_poles(order, default_grid):
+    # a pole listed m times against m poles spread by eps around it,
+    # whose residue sum converges as eps^m
     p = SystemParams()
-    with pytest.raises(DegenerateInputError):
-        psi_poles(1.0, [complex(2.0, -1.0), complex(2.0, -1.0)], default_grid, p)
-    # delta_c = 0 with omega_c = gamma13 - gamma12 makes D(omega) a square
-    double_root = SystemParams(delta_c=0.0, omega_c=1.0 - 0.084)
-    with pytest.raises(DegenerateInputError):
-        filtered_wavepacket(double_root, _narrow_filters(double_root), default_grid)
+    r, other = complex(2.0, -1.0), complex(-1.0, -0.5)
+    exact = psi_poles(1.0, [r] * order + [other], default_grid, p).psi
+    split = [r + 1e-3 * np.exp(2j * np.pi * k / order) for k in range(order)]
+    near = psi_poles(1.0, split + [other], default_grid, p).psi
+    assert np.max(np.abs(near - exact)) < 1e-5 * np.max(np.abs(exact))
 
 
 @pytest.mark.filterwarnings("error")
