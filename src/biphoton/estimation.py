@@ -12,10 +12,17 @@ wavepackets, for calibration):
   amplitude of a pure exponential)
 
 Counts are weighted by 1/sqrt(max(counts, 1)), the Poisson error with a
-unit floor so empty bins cannot blow up the objective.  The optimizer
-is scipy's trust-region reflective least squares (imported on the first
-fit), which is deterministic for fixed inputs; convergence tolerances
-are pinned to ftol 1e-10 / xtol 1e-12.
+unit floor so empty bins cannot blow up the objective.
+
+The solver is numpy only.  Amplitude and background enter every shape
+linearly, so at each step they are solved exactly by a weighted
+two-column least squares, the background clamped at its bound 0
+(variable projection; Golub & Pereyra 1973).  A Levenberg-Marquardt
+iteration (Marquardt 1963) then moves the nonlinear parameters alone,
+kept within their bounds, on the analytic Jacobian of the shape and of
+its bin average.  The standard errors and the singular-curvature check
+use the full Jacobian over every parameter at the solution.  The fit is
+deterministic for fixed inputs.
 
 The headline derived quantity is linewidth_hz = 2*gamma_minus converted
 to an ordinary frequency, the FWHM of the narrow spectral component.
@@ -34,6 +41,8 @@ from .photostatistics import CoincidenceHistogram
 from .wavepacket import Wavepacket
 
 MODEL_NAMES = ("two_component", "resonant", "single_exponential")
+_LINEAR = ("amplitude", "background")  # enter every shape linearly
+_TINY = 1e-9  # lower bound of the amplitude and the rates
 
 _PARAMS = {
     "two_component": ("amplitude", "gamma_plus", "gamma_minus", "omega_e",
@@ -70,8 +79,8 @@ class FitModel:
 class FitResult:
     """Best-fit values and their diagnostics.
 
-    n_iterations is the optimizer's count of residual evaluations
-    (scipy's nfev), not of its iterations.
+    n_iterations is the solver's count of residual evaluations, each
+    with its Jacobian, not of its iterations.
     """
 
     model: str
@@ -99,28 +108,47 @@ def model_curve(
     model: FitModel, params: dict, taus_ns: np.ndarray, time_unit_ns: float
 ) -> np.ndarray:
     """Evaluate the chosen shape at the given delays (ns)."""
+    shape, _ = _shape(model, params, taus_ns, time_unit_ns)
+    return params["amplitude"] * shape + params["background"]
+
+
+def _shape(
+    model: FitModel, params: dict, taus_ns: np.ndarray, time_unit_ns: float
+) -> tuple[np.ndarray, dict]:
+    """Unit-amplitude shape and its derivatives by the nonlinear parameters.
+
+    The derivatives are keyed by parameter name; "t0" is always present.
+    Shape and derivatives vanish before t0.  Every shape and its first
+    derivative are zero at u = 0 except single_exponential's, whose t0
+    is pinned, so the derivative by t0 is continuous wherever it is used.
+    """
     t0 = params.get("t0", model.fixed_t0 if model.fixed_t0 is not None else 0.0)
     u = (np.asarray(taus_ns, dtype=float) - t0) / time_unit_ns
     live = u >= 0
-    uc = np.clip(u, 0.0, None)
-    a = params["amplitude"]
-    bg = params["background"]
+    u = np.where(live, u, 0.0)
+    gm = params["gamma_minus"]
+    e_m = np.exp(-2.0 * gm * u)
     if model.which == "two_component":
-        gp, gm = params["gamma_plus"], params["gamma_minus"]
-        we = params["omega_e"]
-        shape = 0.5 * (
-            np.exp(-2.0 * gp * uc)
-            + np.exp(-2.0 * gm * uc)
-            - 2.0 * np.cos(we * uc) * np.exp(-(gp + gm) * uc)
-        )
+        gp, we = params["gamma_plus"], params["omega_e"]
+        e_p = np.exp(-2.0 * gp * u)
+        e_x = np.exp(-(gp + gm) * u)
+        cos, sin = np.cos(we * u) * e_x, np.sin(we * u) * e_x
+        shape = 0.5 * (e_p + e_m) - cos
+        grads = {"gamma_plus": u * (cos - e_p), "gamma_minus": u * (cos - e_m),
+                 "omega_e": u * sin,
+                 "u": (gp + gm) * cos + we * sin - gp * e_p - gm * e_m}
     elif model.which == "resonant":
-        gm = params["gamma_minus"]
         we = params["omega_e"]
-        shape = np.exp(-2.0 * gm * uc) * (1.0 - np.cos(we * uc))
+        shape = e_m * (1.0 - np.cos(we * u))
+        sin = e_m * np.sin(we * u)
+        grads = {"gamma_minus": -2.0 * u * shape, "omega_e": u * sin,
+                 "u": we * sin - 2.0 * gm * shape}
     else:
-        gm = params["gamma_minus"]
-        shape = np.exp(-2.0 * gm * uc)
-    return np.where(live, a * shape, 0.0) + bg
+        shape = e_m
+        grads = {"gamma_minus": -2.0 * u * e_m, "u": -2.0 * gm * e_m}
+    grads["t0"] = grads.pop("u") / -time_unit_ns
+    return (np.where(live, shape, 0.0),
+            {k: np.where(live, v, 0.0) for k, v in grads.items()})
 
 
 def _data_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,12 +162,11 @@ def _data_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise ValidationError("data must be a CoincidenceHistogram or Wavepacket")
 
 
-def _bounds(model: FitModel, tau_span: float) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(names, tau_span: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = [], []
-    tiny = 1e-9
-    for name in model.parameter_names:
+    for name in names:
         if name in ("amplitude", "gamma_plus", "gamma_minus", "omega_e"):
-            lo.append(tiny); hi.append(np.inf)
+            lo.append(_TINY); hi.append(np.inf)
         elif name == "background":
             lo.append(0.0); hi.append(np.inf)
         else:  # t0
@@ -157,10 +184,67 @@ def fit_wavepacket(
     """Fit a model shape to binned coincidences or a noiseless wavepacket.
 
     init supplies starting values by parameter name (missing ones come
-    from initial_guess); fit_window restricts the fit to delays in
-    [lo, hi] ns.  Returns best-so-far values with converged=False when
-    the optimizer stalls instead of raising.
+    from initial_guess); amplitude and background need none, as they are
+    solved exactly at every step.  fit_window restricts the fit to delays
+    in [lo, hi] ns.  Returns best-so-far values with converged=False when
+    the solver stalls instead of raising.
     """
+    model, taus, y, sigma, y_scale = _prepare(data, model, fit_window)
+    time_unit_ns = 1.0e9 / si_gamma13
+    guess = initial_guess_arrays(taus, y, time_unit_ns)
+    guess.update(init or {})
+    nonlin = [n for n in model.parameter_names if n not in _LINEAR]
+    lo, hi = _bounds(nonlin, float(taus[-1] - taus[0]))
+    theta0 = np.clip(np.asarray([guess[n] for n in nonlin], dtype=float), lo + 1e-12, hi)
+
+    half = 0.5 * data.bin_width if isinstance(data, CoincidenceHistogram) else 0.0
+    w = 1.0 / sigma
+    yw = y * w
+
+    def project(theta: np.ndarray) -> tuple:
+        """Residual and nonlinear Jacobian with amplitude and background
+        solved out, and the weighted shape columns they came from."""
+        cols = _columns(model, dict(zip(nonlin, theta)), taus, half, time_unit_ns) * w
+        a, b = _linear_fit(cols[0], w, yw)
+        resid = a * cols[0] + b * w - yw
+        # Kaufman's Jacobian: the model's, less its projection on the
+        # linear columns that are off their bounds
+        basis = [c for c, free in ((cols[0], a > _TINY), (w, b > 0.0)) if free]
+        jac = a * cols[1:].T
+        if basis:
+            q = np.linalg.qr(np.stack(basis, axis=1))[0]
+            jac = jac - q @ (q.T @ jac)
+        return resid, jac, (a, b, cols)
+
+    theta, (resid, _, (a, b, cols)), nfev, converged = _levenberg_marquardt(
+        project, theta0, lo, hi)
+    params = dict(zip(nonlin, theta), amplitude=a, background=b)
+    columns = dict(zip(nonlin, a * cols[1:]), amplitude=cols[0], background=w)
+    jac = np.stack([columns[n] for n in model.parameter_names], axis=1)
+    return _summarise(model, params, jac, resid, y_scale, nfev, converged, si_gamma13)
+
+
+def _columns(
+    model: FitModel, theta: dict, taus: np.ndarray, half: float, time_unit_ns: float
+) -> np.ndarray:
+    """The shape and its derivatives by the parameters in theta, stacked.
+
+    Counts integrate the curve across each bin, so with half > 0 each row
+    is the bin average over [tau - half, tau + half] by Simpson's rule
+    rather than the bin-center value; the derivative of that average is
+    the average of the derivative.
+    """
+    points = np.concatenate([taus - half, taus, taus + half]) if half else taus
+    shape, grads = _shape(model, theta, points, time_unit_ns)
+    cols = np.stack([shape] + [grads[n] for n in theta])
+    if half:
+        cols = cols.reshape(len(cols), 3, -1)
+        cols = (cols[:, 0] + 4.0 * cols[:, 1] + cols[:, 2]) / 6.0
+    return cols
+
+
+def _prepare(data, model: FitModel | None, fit_window) -> tuple:
+    """(model, taus, y, sigma, y_scale): the windowed data at unit peak."""
     if model is None:
         model = FitModel()
     if model.which == "single_exponential" and model.fixed_t0 is None:
@@ -185,7 +269,7 @@ def fit_wavepacket(
             f"need at least {10 * len(names)} points to fit {len(names)} parameters"
         )
 
-    # rescale to unit peak so the optimizer's stopping rules see an O(1)
+    # rescale to unit peak so the solver's stopping rules see an O(1)
     # objective regardless of the data's absolute magnitude; unit weights
     # apply to the rescaled curve, Poisson weights keep their pattern
     y_scale = float(np.max(np.abs(y)))
@@ -193,48 +277,18 @@ def fit_wavepacket(
         raise ValidationError("data has no signal to fit")
     y = y / y_scale
     sigma = np.ones_like(y) if isinstance(data, Wavepacket) else sigma / y_scale
+    return model, taus, y, sigma, y_scale
 
-    time_unit_ns = 1.0e9 / si_gamma13
-    guess = initial_guess_arrays(taus, y, time_unit_ns)
-    if init:
-        scaled = dict(init)
-        for key in ("amplitude", "background"):
-            if key in scaled:
-                scaled[key] = scaled[key] / y_scale
-        guess.update(scaled)
-    if model.which == "single_exponential":
-        guess.setdefault("t0", 0.0)
-    x0 = np.asarray([guess[n] for n in names], dtype=float)
-    lo, hi = _bounds(model, float(taus[-1] - taus[0]))
-    x0 = np.clip(x0, lo + 1e-12, hi)
 
-    # counts integrate the curve across each bin, so compare the model's
-    # bin average (Simpson) rather than its bin-center value
-    half = 0.5 * data.bin_width if isinstance(data, CoincidenceHistogram) else 0.0
-
-    def predict(params: dict) -> np.ndarray:
-        mid = model_curve(model, params, taus, time_unit_ns)
-        if not half:
-            return mid
-        left = model_curve(model, params, taus - half, time_unit_ns)
-        right = model_curve(model, params, taus + half, time_unit_ns)
-        return (left + 4.0 * mid + right) / 6.0
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return (predict(dict(zip(names, x))) - y) / sigma
-
-    from scipy.optimize import least_squares  # loaded on the first fit
-
-    res = least_squares(
-        residuals, x0, bounds=(lo, hi), method="trf",
-        ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=20000,
-    )
-    converged = res.status > 0
-    params = dict(zip(names, res.x))
-
-    dof = max(len(y) - len(names), 1)
-    chi2 = float(np.sum(res.fun ** 2))
-    jac = res.jac
+def _summarise(
+    model: FitModel, params: dict, jac: np.ndarray, resid: np.ndarray,
+    y_scale: float, nfev: int, converged: bool, si_gamma13: float,
+) -> FitResult:
+    """FitResult from the unit-peak solution, its weighted residual and
+    its Jacobian over model.parameter_names."""
+    names = model.parameter_names
+    dof = max(len(resid) - len(names), 1)
+    chi2 = float(resid @ resid)
     jtj = jac.T @ jac
     singular = False
     try:
@@ -246,27 +300,89 @@ def fit_wavepacket(
     if singular:
         warnings.warn("near-singular curvature: some parameters are "
                       "unidentifiable; standard errors use a pseudo-inverse",
-                      stacklevel=2)
+                      stacklevel=3)
     cov = np.linalg.pinv(jtj) * (chi2 / dof)
     stderr = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
 
-    estimates = {k: float(v) for k, v in params.items()}
-    for key in ("amplitude", "background"):
-        if key in estimates:
-            estimates[key] *= y_scale
-            if key in stderr:
-                stderr[key] = stderr[key] * y_scale
+    estimates = {k: float(params[k]) for k in names}
+    for key in _LINEAR:
+        estimates[key] *= y_scale
+        stderr[key] = stderr[key] * y_scale
     linewidth_hz = 2.0 * estimates["gamma_minus"] * si_gamma13 / (2.0 * np.pi)
     return FitResult(
         model=model.which,
         estimates=estimates,
-        stderr={k: float(stderr.get(k, 0.0)) for k in estimates},
+        stderr={k: float(stderr[k]) for k in estimates},
         reduced_chi2=chi2 / dof,
         converged=converged,
-        n_iterations=int(res.nfev),
+        n_iterations=nfev,
         singular=singular,
         linewidth_hz=float(linewidth_hz),
     )
+
+
+def _linear_fit(s: np.ndarray, w: np.ndarray, yw: np.ndarray) -> tuple[float, float]:
+    """Amplitude and background of the least squares a*s + b*w ~ yw.
+
+    s is the weighted shape and w the weights, so b*w is a weighted
+    constant.  A background below its bound 0 is clamped there and the
+    amplitude refit alone; an amplitude below its bound is clamped too,
+    with the background refit (and clamped) for it.
+    """
+    ww = w @ w
+    ms, my = (s @ w) / ww, (yw @ w) / ww
+    ds = s - ms * w
+    a = (ds @ yw) / (ds @ ds)
+    b = my - a * ms
+    if b < 0.0:
+        a, b = (s @ yw) / (s @ s), 0.0
+    if a < _TINY:
+        a = _TINY
+        b = max(my - a * ms, 0.0)
+    return float(a), float(b)
+
+
+def _levenberg_marquardt(
+    project, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    ftol: float = 1e-12, xtol: float = 1e-12, max_nfev: int = 20000,
+) -> tuple:
+    """Minimise |r(x)|^2 for lo <= x <= hi (Marquardt 1963).
+
+    project(x) returns (r, J, extra).  The damping is scaled by the
+    diagonal of J^T J; each trial point is clipped into the bounds, and a
+    parameter that sits on a bound with the gradient pushing outward
+    takes no step.  Stops, converged, once an accepted step lowers the
+    cost by at most ftol of itself or a step is shorter than
+    xtol * (xtol + |x|).  Returns (x, project(x), nfev, converged).
+    """
+    state = project(x)
+    cost = state[0] @ state[0]
+    nfev, lam = 1, 1e-3
+    while nfev < max_nfev:
+        r, jac = state[0], state[1]
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        move = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        scale = np.diag(hess)[move]
+        scale = np.where(scale > 0, scale, 1.0)
+        step = np.zeros_like(x)
+        step[move] = np.linalg.solve(hess[np.ix_(move, move)] + lam * np.diag(scale),
+                                     -grad[move])
+        trial = np.clip(x + step, lo, hi)
+        if np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)):
+            return x, state, nfev, True
+        new = project(trial)
+        nfev += 1
+        new_cost = new[0] @ new[0]
+        if new_cost < cost:
+            done = cost - new_cost <= ftol * cost
+            x, state, cost = trial, new, new_cost
+            lam = max(lam / 10.0, 1e-12)
+            if done:
+                return x, state, nfev, True
+        else:
+            lam *= 10.0
+    return x, state, nfev, False
 
 
 def initial_guess(data, si_gamma13: float = DEFAULT_SI_GAMMA13) -> dict:

@@ -27,7 +27,12 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .params import SystemParams, dressed_modes
-from .susceptibility import ComplexSpectrum, default_frequency_grid, exact_poles
+from .susceptibility import (
+    ComplexSpectrum,
+    _spectrum_from_samples,
+    default_frequency_grid,
+    exact_poles,
+)
 from .wavepacket import TimeGridConfig, Wavepacket, psi_poles
 
 # instrument presets, quoted by their SI data sheets and converted with
@@ -102,13 +107,15 @@ def _check_single_order(f: EtalonFilter, omega_lo: float, omega_hi: float) -> No
 
 
 def etalon_amplitude(f: EtalonFilter, omegas: np.ndarray) -> ComplexSpectrum:
-    """Causal single-pole amplitude response sampled on a frequency grid."""
+    """Causal single-pole amplitude response sampled on a frequency grid.
+
+    The grid must be increasing and uniform, as for every sampled
+    spectrum; anything else raises ValidationError.
+    """
     omegas = np.asarray(omegas, dtype=float)
     _check_single_order(f, omegas.min(), omegas.max())
     pole, numerator = etalon_pole(f)
-    vals = numerator / (omegas - pole)
-    step = float(np.diff(omegas).mean())
-    return ComplexSpectrum(float(omegas[0]), step, vals)
+    return _spectrum_from_samples(omegas, numerator / (omegas - pole))
 
 
 def apply_filter(spectrum: ComplexSpectrum, f: EtalonFilter) -> ComplexSpectrum:

@@ -101,6 +101,28 @@ class Wavepacket:
         return Wavepacket(self.tau_min, self.tau_step, np.asarray(g2), None)
 
 
+POLE_MERGE_TOL = 1e-5
+
+
+def _merge_close_poles(poles: list[complex]) -> list[complex]:
+    """Each pole replaced by the mean of its cluster; order is kept."""
+    clusters: list[list[complex]] = []
+    for r in poles:
+        near = [c for c in clusters if any(abs(r - q) < POLE_MERGE_TOL for q in c)]
+        for c in near[1:]:  # r bridges several clusters
+            near[0].extend(c)
+            clusters.remove(c)
+        if near:
+            near[0].append(r)
+        else:
+            clusters.append([r])
+    mean = {}
+    for c in clusters:
+        if len(set(c)) > 1:
+            mean.update(dict.fromkeys(c, sum(c) / len(c)))
+    return [mean.get(r, r) for r in poles]
+
+
 def psi_poles(
     scale: complex, poles: Sequence[complex], grid: TimeGridConfig, p: SystemParams
 ) -> Wavepacket:
@@ -113,8 +135,18 @@ def psi_poles(
     coefficient about it of exp(-i*omega*tau) / prod_j (omega - q_j) over
     the other poles q_j.  The SystemParams argument only supplies the
     ns <-> gamma13 time conversion.
+
+    Poles closer together than POLE_MERGE_TOL (gamma13 units) are
+    merged into one repeated pole at their mean.  Two terms of a split
+    eps cancel down to O(1) from O(1/eps), leaving a rounding error of
+    about 2e-15/eps of the peak, while the merge changes psi by only
+    O(eps^2), as merging at the mean cancels the first order: up to
+    0.5*eps^2 of the peak for a split double root of D(omega) and
+    0.04*eps^2 for two narrow etalons over 400 ns (both against a
+    40-digit residue sum).  The two errors cross near eps = 2e-5, so the
+    tolerance 1e-5 keeps either below about 2e-10 of the peak.
     """
-    poles = [complex(r) for r in poles]
+    poles = _merge_close_poles([complex(r) for r in poles])
     t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
     # only tau >= 0: before it every exp(-i*r*t) grows and can overflow
     late = t >= 0

@@ -1,5 +1,7 @@
 """Etalon response, mode selection, and beat-depth analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from biphoton import (
     psi_poles,
     spectrum_energy,
 )
+from biphoton import wavepacket
 
 # (delta_c, omega_c) of filtered operating points, narrow line selected
 FILTERED_POINTS = [(28.3, 14.8), (28.3, 16.0), (16.7, 14.8), (45.0, 20.0),
@@ -88,6 +91,14 @@ def test_out_of_band_grid_rejected(detuned_params):
     omegas = np.linspace(-2.0 * f.fsr, 2.0 * f.fsr, 512)
     with pytest.raises(GridError):
         etalon_amplitude(f, omegas)
+
+
+@pytest.mark.parametrize("omegas", [[0.0, 1.0, 3.0], [0.0, 2.0, 1.0]])
+def test_etalon_on_non_uniform_grid_rejected(omegas):
+    # a sampled spectrum carries only a start and a step, so a grid it
+    # cannot label exactly is refused rather than relabelled
+    with pytest.raises(ValidationError):
+        etalon_amplitude(narrowband_etalon(0.0), np.asarray(omegas))
 
 
 def test_wide_etalon_approaches_identity(detuned_params, default_grid):
@@ -269,3 +280,27 @@ def test_filtered_wavepacket_zero_before_origin(detuned_params):
     w = filtered_wavepacket(p, [broadband_etalon(narrow_mode_center(p), p)], grid)
     assert np.all(w.g2[w.taus < 0] == 0)
     assert w.g2.max() > 0
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9])
+def test_near_equal_etalons_match_the_repeated_pole(eps, detuned_params, default_grid):
+    # split simple-pole terms would cancel from O(1/eps); the merged
+    # cluster is transformed as one repeated pole instead
+    p = detuned_params
+    f = narrowband_etalon(narrow_mode_center(p), p)
+    g = dataclasses.replace(f, center=f.center + eps)
+    exact = filtered_wavepacket(p, [f, f], default_grid).psi
+    near = filtered_wavepacket(p, [f, g], default_grid).psi
+    assert np.max(np.abs(near - exact)) < 1e-6 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("point", FILTERED_POINTS)
+def test_separated_poles_are_not_merged(point, default_grid, monkeypatch):
+    # with no cluster to merge, psi is bit for bit the plain residue sum
+    p = SystemParams(delta_c=point[0], omega_c=point[1])
+    filters = _narrow_filters(p, both=True)
+    merged = filtered_wavepacket(p, filters, default_grid).psi
+    analytic = g2_analytic(p, grid=default_grid).psi
+    monkeypatch.setattr(wavepacket, "POLE_MERGE_TOL", 0.0)
+    assert np.array_equal(filtered_wavepacket(p, filters, default_grid).psi, merged)
+    assert np.array_equal(g2_analytic(p, grid=default_grid).psi, analytic)

@@ -56,6 +56,28 @@ print(json.dumps(seen))
     assert seen == {"filter": [], "montecarlo": [], "modulate": []}
 
 
+def test_montecarlo_then_fit_loads_no_scipy(tmp_path):
+    # the fit is a numpy solver; scipy.optimize is not imported
+    config = tmp_path / "run.yaml"
+    config.write_text("system:\n  delta_c: 28.3\nfilter:\n  - center_gamma13: narrow\n"
+                      "detection:\n  measurement_time: 10.0\n  rng_seed: 7\n")
+    out = str(tmp_path)
+    data = str(tmp_path / "histogram.csv")
+    seen = _run(f"""
+import json, sys
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import biphoton.cli
+seen = {{}}
+assert biphoton.cli.main(["montecarlo", "--config", {str(config)!r}, "--out", {out!r}]) == 0
+seen["montecarlo"] = scipy()
+assert biphoton.cli.main(["fit", "--data", {data!r}, "--out", {out!r}]) == 0
+seen["fit"] = scipy()
+print(json.dumps(seen))
+""")
+    assert seen == {"montecarlo": [], "fit": []}
+    assert "converged: True" in (tmp_path / "fit_result.txt").read_text()
+
+
 def test_transform_loads_special_not_signal():
     seen = _run("""
 import json, sys
@@ -70,4 +92,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
 
 def test_source_never_names_scipy_signal():
     named = [str(f) for f in SRC.rglob("*.py") if "scipy.signal" in f.read_text()]
+    assert named == []
+
+
+def test_source_never_names_scipy_optimize():
+    named = [str(f) for f in SRC.rglob("*.py") if "scipy.optimize" in f.read_text()]
     assert named == []
