@@ -343,8 +343,7 @@ def _linear_fit(s: np.ndarray, w: np.ndarray, yw: np.ndarray) -> tuple[float, fl
 
 
 def _levenberg_marquardt(
-    project, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    ftol: float = 1e-12, xtol: float = 1e-12, max_nfev: int = 20000,
+    project, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple:
     """Minimise |r(x)|^2 for lo <= x <= hi (Marquardt 1963).
 
@@ -353,8 +352,10 @@ def _levenberg_marquardt(
     parameter that sits on a bound with the gradient pushing outward
     takes no step.  Stops, converged, once an accepted step lowers the
     cost by at most ftol of itself or a step is shorter than
-    xtol * (xtol + |x|).  Returns (x, project(x), nfev, converged).
+    xtol * (xtol + |x|); stops unconverged after max_nfev evaluations.
+    Returns (x, project(x), nfev, converged).
     """
+    ftol, xtol, max_nfev = 1e-12, 1e-12, 20000
     state = project(x)
     cost = state[0] @ state[0]
     nfev, lam = 1, 1e-3
