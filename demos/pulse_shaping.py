@@ -20,7 +20,6 @@ from biphoton import (
     beat_period,
     g2_analytic,
     mask_values,
-    pulse_train_preview,
     suggest_mask_start,
     write_csv,
 )
@@ -49,7 +48,8 @@ write_csv("carved_pulses.csv",
 
 # far detuned, nature does the carving: deep beat minima between pulses
 far = SystemParams(delta_c=-100.0, omega_c=30.0)
-train, period = pulse_train_preview(far, TimeGridConfig(40.0, 4000))
+train = g2_analytic(far, grid=TimeGridConfig(40.0, 4000))
+period = beat_period(far)
 g2 = np.asarray(train.g2)
 k = int(np.argmax(g2))
 step = int(round(period / train.tau_step))

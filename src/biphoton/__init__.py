@@ -17,7 +17,7 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
-from .params import AmplitudeModel, DressedModes, SystemParams, dressed_modes
+from .params import DressedModes, SystemParams, dressed_modes
 from .susceptibility import (
     ComplexSpectrum,
     approx_poles,
@@ -69,13 +69,12 @@ from .modulation import (
     ModulationMask,
     apply_mask,
     mask_values,
-    pulse_train_preview,
     suggest_mask_start,
 )
 
 __all__ = [
     "__version__",
-    "AmplitudeModel", "ComplexSpectrum", "CoincidenceHistogram",
+    "ComplexSpectrum", "CoincidenceHistogram",
     "DetectionConfig", "DressedModes", "EtalonFilter", "FitModel",
     "FitResult", "LossBudget", "ModulationMask", "SystemParams",
     "TimeGridConfig", "Wavepacket",
@@ -88,7 +87,7 @@ __all__ = [
     "histogram_metadata", "initial_guess", "loss_budget_rate", "mask_values",
     "mhz_to_gamma13", "modulation_depth_profile", "narrow_mode_center",
     "narrowband_etalon", "normalized_cross_correlation", "psi_numeric",
-    "psi_poles", "pulse_train_preview",
+    "psi_poles",
     "read_csv", "read_histogram", "simulate_coincidences",
     "spectrum_energy", "spectrum_power", "suggest_mask_start",
     "write_csv", "write_histogram",

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="independent measurement-time slices")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes for the shards")
+                   help="worker threads for the shards")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("fit", parents=[shared],

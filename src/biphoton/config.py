@@ -18,8 +18,10 @@ Sections (all optional; physically sensible defaults apply):
     sweep:     delta_c (list of values)
     output:    directory, timestamps (true|false)
 
-Each section's defaults are written once, in its parser below; an
-absent or empty section resolves to them.  Every section is validated
+Each default is written once: a key that maps onto a library type
+defaults to that type's field default (filters to the narrowband
+etalon preset of filtering), and the rest are written in their parser
+below; an absent or empty section resolves to them.  Every section is validated
 against its module's invariants before any computation starts; unknown
 keys and values of the wrong shape are rejected to catch typos early.
 """
@@ -34,7 +36,10 @@ import yaml
 
 from .errors import ValidationError
 from .estimation import FitModel
-from .filtering import EtalonFilter, mhz_to_gamma13, narrow_mode_center
+from .filtering import (
+    NARROWBAND_FSR_GHZ, NARROWBAND_FWHM_MHZ, NARROWBAND_PEAK, EtalonFilter,
+    mhz_to_gamma13, narrow_mode_center,
+)
 from .modulation import ModulationMask
 from .params import SystemParams, dressed_modes
 from .photostatistics import DetectionConfig, LossBudget
@@ -156,9 +161,9 @@ def _system_from(d) -> SystemParams:
 def _grid_from(d) -> tuple[TimeGridConfig, int | None]:
     d = _section("grid", d, {"tau_max_ns", "n_points", "tau_min_ns", "freq_points"})
     grid = TimeGridConfig(
-        tau_max=_num("grid", "tau_max_ns", d.get("tau_max_ns", 400.0)),
-        n_points=_intval("grid", "n_points", d.get("n_points", 2000)),
-        tau_min=_num("grid", "tau_min_ns", d.get("tau_min_ns", 0.0)),
+        tau_max=_num("grid", "tau_max_ns", d.get("tau_max_ns", TimeGridConfig.tau_max)),
+        n_points=_intval("grid", "n_points", d.get("n_points", TimeGridConfig.n_points)),
+        tau_min=_num("grid", "tau_min_ns", d.get("tau_min_ns", TimeGridConfig.tau_min)),
     )
     freq_points = (
         _intval("grid", "freq_points", d["freq_points"])
@@ -195,12 +200,14 @@ def _filter_from(d, p: SystemParams) -> EtalonFilter:
         center_val = _num("filter", "center_gamma13", center)
     return EtalonFilter(
         center=center_val,
-        fwhm=mhz_to_gamma13(_num("filter", "fwhm_mhz", d.get("fwhm_mhz", 15.0)), p),
+        fwhm=mhz_to_gamma13(
+            _num("filter", "fwhm_mhz", d.get("fwhm_mhz", NARROWBAND_FWHM_MHZ)), p
+        ),
         fsr=mhz_to_gamma13(
-            _num("filter", "fsr_ghz", d.get("fsr_ghz", 22.9)) * 1000.0, p
+            _num("filter", "fsr_ghz", d.get("fsr_ghz", NARROWBAND_FSR_GHZ)) * 1000.0, p
         ),
         peak_transmission=_num(
-            "filter", "peak_transmission", d.get("peak_transmission", 0.12)
+            "filter", "peak_transmission", d.get("peak_transmission", NARROWBAND_PEAK)
         ),
     )
 
@@ -224,7 +231,7 @@ def _detection_from(d) -> DetectionConfig:
 
 def _fit_from(d) -> FitSettings:
     d = _section("fit", d, {"model", "window_ns", "fixed_t0_ns"})
-    name = d.get("model", "two_component")
+    name = d.get("model", FitModel.which)
     fixed_t0 = d.get("fixed_t0_ns")
     if name == "auto":
         model = None
@@ -254,18 +261,21 @@ def _mask_from(d) -> MaskSettings:
         {"kind", "pulse_width_ns", "pulse_separation_ns", "n_pulses",
          "start_offset_ns", "delay_ns", "convention", "rise_time_ns", "samples"},
     )
-    start = d.get("start_offset_ns", 0.0)
+    start = d.get("start_offset_ns", ModulationMask.start_offset)
     start_auto = isinstance(start, str)
     if start_auto and start != "auto":
         raise ValidationError("start_offset_ns must be a number or 'auto'")
     samples = d.get("samples")
     mask = ModulationMask(
-        kind=d.get("kind", "square_train"),
-        pulse_width=_num("mask", "pulse_width_ns", d.get("pulse_width_ns", 50.0)),
-        pulse_separation=_num(
-            "mask", "pulse_separation_ns", d.get("pulse_separation_ns", 50.0)
+        kind=d.get("kind", ModulationMask.kind),
+        pulse_width=_num(
+            "mask", "pulse_width_ns", d.get("pulse_width_ns", ModulationMask.pulse_width)
         ),
-        n_pulses=_intval("mask", "n_pulses", d.get("n_pulses", 2)),
+        pulse_separation=_num(
+            "mask", "pulse_separation_ns",
+            d.get("pulse_separation_ns", ModulationMask.pulse_separation),
+        ),
+        n_pulses=_intval("mask", "n_pulses", d.get("n_pulses", ModulationMask.n_pulses)),
         start_offset=0.0 if start_auto else _num("mask", "start_offset_ns", start),
         samples=None if samples is None else _numbers("mask", "samples", samples),
     )

@@ -177,22 +177,20 @@ def _bounds(names, tau_span: float) -> tuple[np.ndarray, np.ndarray]:
 def fit_wavepacket(
     data,
     model: FitModel | None = None,
-    init: dict | None = None,
     fit_window: tuple[float, float] | None = None,
     si_gamma13: float = DEFAULT_SI_GAMMA13,
 ) -> FitResult:
     """Fit a model shape to binned coincidences or a noiseless wavepacket.
 
-    init supplies starting values by parameter name (missing ones come
-    from initial_guess); amplitude and background need none, as they are
-    solved exactly at every step.  fit_window restricts the fit to delays
-    in [lo, hi] ns.  Returns best-so-far values with converged=False when
+    The nonlinear parameters start from initial_guess on the windowed
+    data; amplitude and background need no start, as they are solved
+    exactly at every step.  fit_window restricts the fit to delays in
+    [lo, hi] ns.  Returns best-so-far values with converged=False when
     the solver stalls instead of raising.
     """
     model, taus, y, sigma, y_scale = _prepare(data, model, fit_window)
     time_unit_ns = 1.0e9 / si_gamma13
     guess = initial_guess_arrays(taus, y, time_unit_ns)
-    guess.update(init or {})
     nonlin = [n for n in model.parameter_names if n not in _LINEAR]
     lo, hi = _bounds(nonlin, float(taus[-1] - taus[0]))
     theta0 = np.clip(np.asarray([guess[n] for n in nonlin], dtype=float), lo + 1e-12, hi)

@@ -43,6 +43,9 @@ NARROWBAND_FSR_GHZ = 22.9
 NARROWBAND_PEAK = 0.12
 BROADBAND_FWHM_MHZ = 500.0
 
+# beat cycles after the peak that beat_suppression averages
+_BEAT_CYCLES = 3
+
 
 @dataclass(frozen=True)
 class EtalonFilter:
@@ -208,11 +211,10 @@ def beat_suppression(
     before: Wavepacket,
     after: Wavepacket,
     beat_period_ns: float | None = None,
-    n_cycles: int = 3,
 ) -> tuple[float, float]:
     """Beat modulation depth of each wavepacket, averaged per cycle.
 
-    The depth is the mean of (max-min)/(max+min) over the first n_cycles
+    The depth is the mean of (max-min)/(max+min) over the first three
     beat periods following the global peak.  The period is estimated
     from the unfiltered wavepacket when not given, and the same value is
     used for both curves (the filtered one may carry no beat to measure).
@@ -224,10 +226,10 @@ def beat_suppression(
     depths = []
     for w in (before, after):
         _, d = modulation_depth_profile(w, beat_period_ns)
-        if len(d) < n_cycles:
+        if len(d) < _BEAT_CYCLES:
             raise GridError(
                 f"grid covers {len(d)} beat cycles after the peak; "
-                f"{n_cycles} required"
+                f"{_BEAT_CYCLES} required"
             )
-        depths.append(float(np.mean(d[:n_cycles])))
+        depths.append(float(np.mean(d[:_BEAT_CYCLES])))
     return depths[0], depths[1]

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filtering import estimate_beat_period_ns, modulation_depth_profile
-from .params import AmplitudeModel, SystemParams
-from .wavepacket import TimeGridConfig, Wavepacket, beat_period, g2_analytic
+from .wavepacket import Wavepacket
 
 MASK_KINDS = ("square_train", "custom_samples")
 
@@ -119,19 +118,6 @@ def apply_mask(
     if not np.any(vals[support] > 0):
         raise ValidationError("mask window lies entirely outside the wavepacket")
     return w.with_g2(w.g2 * vals)
-
-
-def pulse_train_preview(
-    p: SystemParams,
-    grid: TimeGridConfig | None = None,
-    a: AmplitudeModel | None = None,
-) -> tuple[Wavepacket, float]:
-    """Unmasked beating wavepacket plus its train spacing 2*pi/omega_e (ns).
-
-    Far-detuned configurations make every beat minimum nearly dark, so
-    the wavepacket itself is a pulse train at this period.
-    """
-    return g2_analytic(p, a, grid), beat_period(p)
 
 
 def suggest_mask_start(

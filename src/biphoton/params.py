@@ -112,22 +112,6 @@ class DressedModes:
         return self.delta_minus
 
 
-@dataclass(frozen=True)
-class AmplitudeModel:
-    """Single free complex amplitude of the biphoton wavefunction.
-
-    Absorbs every constant prefactor (field amplitudes, dipole moments,
-    densities, mode geometry) into one number; absolute brightness is
-    calibrated separately through the loss budget.
-    """
-
-    scale: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        if self.scale == 0:
-            raise ValidationError("amplitude scale must be nonzero")
-
-
 def dressed_modes(p: SystemParams) -> DressedModes:
     """Split the system into its two dressed spectral modes.
 

@@ -90,11 +90,6 @@ class CoincidenceHistogram:
     def bin_centers(self) -> np.ndarray:
         return (np.arange(len(self.counts)) + 0.5) * self.bin_width
 
-    @property
-    def taus(self) -> np.ndarray:
-        """Alias for bin_centers so fit routines accept histograms directly."""
-        return self.bin_centers
-
     def merged_with(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
         if other.bin_width != self.bin_width or len(other.counts) != len(self.counts):
             raise ValidationError("histograms must share binning to merge")
@@ -198,17 +193,21 @@ def simulate_coincidences(
     model: Wavepacket,
     cfg: DetectionConfig,
     n_shards: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> CoincidenceHistogram:
     """Monte Carlo coincidence histogram for a model wavepacket.
 
     The tau window is [0, tau_max of the model grid), binned at
     cfg.bin_width.  Sharding splits measurement_time into n_shards equal
-    slices with child RNG streams spawned from rng_seed; the result is
-    deterministic for fixed (rng_seed, n_shards) regardless of workers.
+    slices with child RNG streams spawned from rng_seed.  The shards run
+    on a pool of that many worker threads and merge in shard order, so
+    the result is deterministic for fixed (rng_seed, n_shards) regardless
+    of workers.
     """
     if n_shards < 1:
         raise ValidationError("n_shards must be >= 1")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     n_bins = max(1, int(round(model.tau_max / cfg.bin_width)))
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
     t_slice = cfg.measurement_time / n_shards
@@ -218,11 +217,8 @@ def simulate_coincidences(
             model, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
         )
 
-    if workers is not None and workers > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(run, seeds))
-    else:
-        shards = [run(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shards = list(pool.map(run, seeds))
 
     merged = shards[0]
     for sh in shards[1:]:
@@ -279,7 +275,7 @@ def budget_report(detected_rate: float, budget: LossBudget) -> str:
     return "\n".join(lines)
 
 
-def histogram_metadata(h: CoincidenceHistogram, cfg: DetectionConfig | None = None,
+def histogram_metadata(h: CoincidenceHistogram, cfg: DetectionConfig,
                        extra: dict | None = None) -> dict:
     """Sidecar record for a saved histogram (config echo, seed, singles)."""
     meta = {
@@ -288,10 +284,9 @@ def histogram_metadata(h: CoincidenceHistogram, cfg: DetectionConfig | None = No
         "n_singles_s": int(h.n_singles_s),
         "n_singles_as": int(h.n_singles_as),
         "measurement_time_s": h.measurement_time,
+        "detection": asdict(cfg),
+        "seed": cfg.rng_seed,
     }
-    if cfg is not None:
-        meta["detection"] = asdict(cfg)
-        meta["seed"] = cfg.rng_seed
     if extra:
         meta.update(extra)
     # round-trip check: the sidecar must stay plain JSON

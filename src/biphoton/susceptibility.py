@@ -7,8 +7,10 @@ Two shapes are provided: the exact form
 
 and its two-pole factorization with poles at delta_minus - i*gamma_minus
 and delta_plus - i*gamma_plus, valid when omega_c dominates
-|gamma13 - gamma12|.  Both are scale-free: the physical prefactor lives
-in AmplitudeModel.
+|gamma13 - gamma12|.  Both are scale-free: every constant prefactor
+(field amplitudes, dipole moments, densities, mode geometry) is left
+out, and absolute brightness comes from the detected rate through the
+loss budget (photostatistics.loss_budget_rate).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import AmplitudeModel, DressedModes, SystemParams, dressed_modes
+from .params import DressedModes, SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
 
@@ -152,9 +154,7 @@ def chi3_approx(p: SystemParams, omegas: np.ndarray) -> ComplexSpectrum:
     return _spectrum_from_samples(omegas, vals)
 
 
-def component_weights(
-    p: SystemParams, a: AmplitudeModel | None = None
-) -> tuple[float, float]:
+def component_weights(p: SystemParams) -> tuple[float, float]:
     """Integrated spectral power of the narrow and broad Lorentzian components.
 
     Partial fractions give both components the same residue magnitude,
@@ -165,8 +165,7 @@ def component_weights(
     """
     d = dressed_modes(p)
     p1, p2 = approx_poles(p)
-    scale = 1.0 if a is None else abs(a.scale)
-    residue = scale / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
+    residue = 1.0 / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
     # integral of |residue/(w - (d0 - i*g))|^2 over the real axis = pi*|residue|^2/g
     w_minus = np.pi * residue ** 2 / d.gamma_minus
     w_plus = np.pi * residue ** 2 / d.gamma_plus

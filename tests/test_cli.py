@@ -245,6 +245,13 @@ def test_filter_with_two_identical_etalons(tmp_path):
     assert _g2_within_1e3_of_numeric(tmp_path / "wavepacket_filtered.csv", resolved)
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_montecarlo_without_workers_exits_2(workers, tmp_path, capsys):
+    assert main(["montecarlo", "--workers", workers, "--out", str(tmp_path)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
 def test_invalid_physics_exits_2(capsys):
     assert main(["dressed", "--omega-c", "-1.0"]) == 2
 

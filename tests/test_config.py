@@ -5,7 +5,15 @@ import textwrap
 
 import pytest
 
-from biphoton import DetectionConfig, SystemParams, ValidationError, dressed_modes
+from biphoton import (
+    DetectionConfig,
+    ModulationMask,
+    SystemParams,
+    TimeGridConfig,
+    ValidationError,
+    dressed_modes,
+    narrowband_etalon,
+)
 from biphoton.cli import main
 from biphoton.config import config_from_dict, load_config
 from biphoton.filtering import narrow_mode_center
@@ -52,11 +60,17 @@ def test_empty_config_gives_defaults():
     assert cfg.system == SystemParams()
     assert cfg.grid.tau_max == 400.0
     assert cfg.grid.n_points == 2000
+    assert cfg.grid == TimeGridConfig()
     assert cfg.filters == []
     assert cfg.detection == DetectionConfig()
     assert cfg.fit.model.which == "two_component"
     assert cfg.mask.start_auto is False
     assert cfg.mask.mask.start_offset == 0.0
+    assert cfg.mask.mask == ModulationMask()
+    p = SystemParams()
+    assert config_from_dict({"filter": [{}]}).filters == [
+        narrowband_etalon(narrow_mode_center(p), p)
+    ]
     assert cfg.sweep_delta_c == [0.0, 16.7, 28.3, 45.0]
     assert cfg.output.directory == "out"
     assert cfg.output.timestamps is False

@@ -15,7 +15,6 @@ from biphoton import (
     g2_analytic,
     mask_values,
     modulation_depth_profile,
-    pulse_train_preview,
     suggest_mask_start,
 )
 from biphoton.modulation import _smooth_edges
@@ -94,10 +93,11 @@ def test_edge_smoothing_leaks_but_stays_bounded():
     assert ratio < 0.5
 
 
-def test_pulse_train_preview_far_detuned():
+def test_far_detuned_wavepacket_is_a_pulse_train():
     p = SystemParams(delta_c=-100.0, omega_c=30.0)
-    w, period = pulse_train_preview(p, TimeGridConfig(tau_max=40.0, n_points=4000))
-    assert period == pytest.approx(beat_period(p))
+    w = g2_analytic(p, grid=TimeGridConfig(tau_max=40.0, n_points=4000))
+    period = beat_period(p)
+    assert period == pytest.approx(2.0 * np.pi / np.hypot(30.0, 100.0) * p.time_unit_ns)
     g2 = np.asarray(w.g2)
     # peaks recur at the beat period
     k0 = int(np.argmax(g2))
