@@ -9,6 +9,15 @@ a histogram bin of width t_c.  True pairs and accidentals therefore
 emerge from one mechanism, and the flat accidental floor obeys
 S_s * S_as * t_c per bin and second.
 
+Delays are drawn by inverse CDF through a guide table (Chen & Asau,
+1974): one lookup finds the CDF segment of almost every uniform, and
+the delay is np.interp's own formula on that segment, so the draws are
+bit-identical to np.interp(u, cdf, taus) on the same uniforms.  The
+correlation searches once for the last Stokes tag before each
+anti-Stokes tag and walks back from there, pair by pair, over only the
+tags that still have a partner in the window.  A shard expected to hold
+more than MAX_SHARD_TAGS tags is refused before anything is allocated.
+
 The run can be sharded into independent slices of the measurement time,
 each with its own child RNG stream, so results are reproducible for a
 fixed (seed, n_shards) and shard merging is associative.  Different
@@ -25,6 +34,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .wavepacket import Wavepacket
+
+# expected tags (pairs plus background singles) one shard may hold; at
+# about 100 B of working memory per pair this is about 5 GB
+MAX_SHARD_TAGS = 50_000_000
+# guide-table cells per CDF node, and uniforms drawn per block
+_GUIDE_CELLS_PER_NODE = 32
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,7 +137,22 @@ class LossBudget:
 
 
 def _sample_delays(model: Wavepacket, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n delays (ns) from the normalized G2 density by inverse CDF."""
+    """Draw n delays (ns) from the normalized G2 density by inverse CDF.
+
+    The CDF is the trapezoid mass accumulated over the tau >= 0 nodes,
+    and each uniform u maps to np.interp(u, cdf, taus).  A guide table
+    (Chen & Asau, 1974) finds u's segment j, the last node with
+    cdf[j] <= u, in one lookup: it splits [0, 1) into a power of two of
+    equal cells, at least _GUIDE_CELLS_PER_NODE per node, so u * cells
+    is exact and a cell holding no node lies inside a single segment.
+    Only the few draws that land in a cell holding a node are searched.
+    The delay is then np.interp's own formula, slope[j]*(u - cdf[j]) +
+    taus[j], with the same slopes; the last node, reached when the CDF
+    rounds below 1, has slope 0 and returns taus[-1] as np.interp does.
+    The result equals np.interp bit for bit.  Uniforms are drawn in
+    blocks of _BLOCK, which consume the stream exactly as one rng.random(n)
+    call, so only the memory held changes.
+    """
     taus = model.taus
     g2 = np.asarray(model.g2, dtype=float)
     pos = taus >= 0
@@ -133,8 +164,71 @@ def _sample_delays(model: Wavepacket, n: int, rng: np.random.Generator) -> np.nd
     if not (total > 0) or not np.isfinite(total):
         raise ValidationError("model wavepacket has no finite positive weight")
     cdf = np.concatenate([[0.0], np.cumsum(masses)]) / total
-    u = rng.random(n)
-    return np.interp(u, cdf, taus)
+
+    # a zero-mass segment gets slope inf but is never some u's segment
+    with np.errstate(divide="ignore"):
+        slope = np.append(np.diff(taus) / np.diff(cdf), 0.0)
+    cells = 1 << int(np.ceil(np.log2(_GUIDE_CELLS_PER_NODE * len(cdf))))
+    guide = np.searchsorted(cdf, np.arange(cells) / cells, side="right") - 1
+    guide[(cdf[cdf < 1.0] * cells).astype(np.intp)] = -1
+
+    out = np.empty(n)
+    size = min(n, _BLOCK)
+    u_buf, x_buf = np.empty(size), np.empty(size)
+    cell_buf, j_buf = np.empty(size, np.intp), np.empty(size, np.intp)
+    for start in range(0, n, _BLOCK):
+        d = out[start:start + _BLOCK]
+        m = len(d)
+        u, x, cell, j = u_buf[:m], x_buf[:m], cell_buf[:m], j_buf[:m]
+        rng.random(out=u)
+        np.multiply(u, cells, out=x)
+        np.copyto(cell, x, casting="unsafe")  # floor, as u >= 0
+        # every index is in range: "clip" only skips take's buffered check
+        np.take(guide, cell, out=j, mode="clip")
+        mixed = np.flatnonzero(j < 0)
+        j[mixed] = np.searchsorted(cdf, u[mixed], side="right") - 1
+        np.take(cdf, j, out=x, mode="clip")
+        np.subtract(u, x, out=x)
+        np.take(slope, j, out=d, mode="clip")
+        d *= x
+        np.take(taus, j, out=x, mode="clip")
+        d += x
+    return out
+
+
+def _correlate(
+    stream_s: np.ndarray,
+    stream_as: np.ndarray,
+    window: float,
+    n_bins: int,
+    bin_width: float,
+) -> np.ndarray:
+    """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
+
+    Both streams are sorted, in s; window is in s and bin_width in ns.
+    One search finds, for each anti-Stokes tag, the last Stokes tag at or
+    before it; the walk then steps every still-active anti-Stokes tag one
+    Stokes tag further back, binning each pair, until the Stokes tag falls
+    at or before t_as - window.  Each pass costs only the tags still
+    active, and most tags have 0-2 partners.
+    """
+    counts = np.zeros(n_bins, dtype=np.int64)
+    s_idx = np.searchsorted(stream_s, stream_as, side="right") - 1
+    as_idx = np.flatnonzero(s_idx >= 0)
+    s_idx = s_idx[as_idx]
+    while as_idx.size:
+        t_as = stream_as[as_idx]
+        t_s = stream_s[s_idx]
+        near = np.flatnonzero(t_s > t_as - window)
+        as_idx, s_idx = as_idx[near], s_idx[near]
+        diffs_ns = (t_as[near] - t_s[near]) * 1e9
+        idx = (diffs_ns / bin_width).astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=n_bins)
+        s_idx -= 1
+        more = s_idx >= 0
+        as_idx, s_idx = as_idx[more], s_idx[more]
+    return counts
 
 
 def _simulate_shard(
@@ -146,9 +240,11 @@ def _simulate_shard(
 ) -> CoincidenceHistogram:
     mean_pairs = cfg.pair_rate * cfg.duty_cycle * t_slice
     n_pairs = int(rng.poisson(mean_pairs))
-    t_s = rng.random(n_pairs) * t_slice
-    delta = _sample_delays(model, n_pairs, rng) * 1e-9
-    t_as = t_s + delta
+    t_s = rng.random(n_pairs)
+    t_s *= t_slice
+    t_as = _sample_delays(model, n_pairs, rng)
+    t_as *= 1e-9
+    t_as += t_s
 
     keep_s = rng.random(n_pairs) < cfg.qe_stokes * cfg.channel_t_stokes
     keep_as = rng.random(n_pairs) < cfg.qe_antistokes * cfg.channel_t_antistokes
@@ -157,32 +253,14 @@ def _simulate_shard(
     n_bg_as = int(rng.poisson(cfg.background_as * t_slice))
     stream_s = np.concatenate([t_s[keep_s], rng.random(n_bg_s) * t_slice])
     stream_as = np.concatenate([t_as[keep_as], rng.random(n_bg_as) * t_slice])
+    del t_s, t_as  # freed before the correlation allocates its own arrays
     stream_s.sort()
     stream_as.sort()
 
-    # multi-stop correlation: histogram every s/as tag pair with
-    # 0 <= t_as - t_s < window
     window = n_bins * cfg.bin_width * 1e-9
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if len(stream_s) and len(stream_as):
-        lo = np.searchsorted(stream_s, stream_as - window, side="right")
-        hi = np.searchsorted(stream_s, stream_as, side="right")
-        per_event = hi - lo
-        keep = per_event > 0
-        reps = per_event[keep]
-        if reps.size:
-            as_idx = np.repeat(np.nonzero(keep)[0], reps)
-            group_starts = np.cumsum(reps) - reps
-            offsets = np.arange(int(reps.sum())) - np.repeat(group_starts, reps)
-            s_idx = np.repeat(lo[keep], reps) + offsets
-            diffs_ns = (stream_as[as_idx] - stream_s[s_idx]) * 1e9
-            idx = (diffs_ns / cfg.bin_width).astype(np.int64)
-            np.clip(idx, 0, n_bins - 1, out=idx)
-            counts += np.bincount(idx, minlength=n_bins)
-
     return CoincidenceHistogram(
         bin_width=cfg.bin_width,
-        counts=counts,
+        counts=_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width),
         n_singles_s=len(stream_s),
         n_singles_as=len(stream_as),
         measurement_time=t_slice,
@@ -199,15 +277,26 @@ def simulate_coincidences(
 
     The tau window is [0, tau_max of the model grid), binned at
     cfg.bin_width.  Sharding splits measurement_time into n_shards equal
-    slices with child RNG streams spawned from rng_seed.  The shards run
-    on a pool of that many worker threads and merge in shard order, so
-    the result is deterministic for fixed (rng_seed, n_shards) regardless
-    of workers.
+    slices with child RNG streams spawned from rng_seed.  With workers > 1
+    the shards run on a pool of that many threads, with 1 in the calling
+    thread, and they merge in shard order, so the result is deterministic
+    for fixed (rng_seed, n_shards) regardless of workers.  A shard whose
+    expected tag count, (pair_rate*duty_cycle + background_s +
+    background_as)*measurement_time/n_shards, exceeds MAX_SHARD_TAGS
+    raises ValidationError before anything is drawn.
     """
     if n_shards < 1:
         raise ValidationError("n_shards must be >= 1")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s
+            + cfg.background_as) * cfg.measurement_time / n_shards
+    if tags > MAX_SHARD_TAGS:
+        raise ValidationError(
+            f"each shard would hold about {tags:.3g} tags, above "
+            f"MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; raise n_shards to at "
+            f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}"
+        )
     n_bins = max(1, int(round(model.tau_max / cfg.bin_width)))
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
     t_slice = cfg.measurement_time / n_shards
@@ -217,8 +306,14 @@ def simulate_coincidences(
             model, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shards = list(pool.map(run, seeds))
+    if workers == 1:
+        # in the calling thread: a fresh worker thread per call allocates
+        # from its own malloc arena, and the arenas it leaves behind raise
+        # the process's peak memory from call to call
+        shards = list(map(run, seeds))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shards = list(pool.map(run, seeds))
 
     merged = shards[0]
     for sh in shards[1:]:

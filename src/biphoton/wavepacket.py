@@ -263,9 +263,9 @@ def _tail_t2(w_edge: float, t: np.ndarray) -> np.ndarray:
     return np.where(at == 0, 1.0 / w_edge + 0j, out)
 
 
-def _tail_t3(w_edge: float, t: np.ndarray) -> np.ndarray:
-    """integral_W^inf exp(-i*w*t)/w^3 dw, by parts from _tail_t2."""
-    return np.exp(-1j * w_edge * t) / (2.0 * w_edge ** 2) - 0.5j * t * _tail_t2(w_edge, t)
+def _tail_t3(w_edge: float, t: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """integral_W^inf exp(-i*w*t)/w^3 dw, by parts from t2 = _tail_t2(w_edge, t)."""
+    return np.exp(-1j * w_edge * t) / (2.0 * w_edge ** 2) - 0.5j * t * t2
 
 
 def _tail_coeffs(omegas: np.ndarray, values: np.ndarray) -> tuple[complex, complex]:
@@ -347,11 +347,11 @@ def psi_numeric(
     w_r = spectrum.omega_max
     w_l = -spectrum.omega_min
     if w_r > 0 and w_l > 0:
-        right = c2r * _tail_t2(w_r, taus_u) + c3r * _tail_t3(w_r, taus_u)
+        t2r = _tail_t2(w_r, taus_u)
+        t2l = _tail_t2(w_l, taus_u)
+        right = c2r * t2r + c3r * _tail_t3(w_r, taus_u, t2r)
         # left tail by omega -> -omega: the 1/omega^3 term flips sign
-        left = c2l * np.conj(_tail_t2(w_l, taus_u)) - c3l * np.conj(
-            _tail_t3(w_l, taus_u)
-        )
+        left = c2l * np.conj(t2l) - c3l * np.conj(_tail_t3(w_l, taus_u, t2l))
         psi = psi + (right + left) / (2.0 * np.pi)
 
     return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)

@@ -1,6 +1,7 @@
 """Monte Carlo coincidence generation, normalization, and loss budgets."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,8 @@ from biphoton import (
     normalized_cross_correlation,
     simulate_coincidences,
 )
+from biphoton import photostatistics
+from biphoton.photostatistics import _correlate, _sample_delays
 
 MODEL_P = SystemParams(delta_c=28.3, omega_c=14.8)
 MODEL = g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0, n_points=2000))
@@ -37,6 +40,16 @@ def test_bit_determinism_same_seed():
     h2 = simulate_coincidences(MODEL, _cfg(), n_shards=4)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.n_singles_s == h2.n_singles_s
+
+
+def test_random_stream_is_pinned():
+    # recorded before the guide-table sampler and the correlation walk
+    # replaced np.interp and the two full searches: any drift in a drawn
+    # delay or a counted pair changes the digest
+    h = simulate_coincidences(MODEL, _cfg(), n_shards=4)
+    digest = hashlib.sha256(np.asarray(h.counts, dtype="<i8").tobytes()).hexdigest()
+    assert digest == "8df57d0c8b76859cde8887a182a55ac6ace8ce1334d91ff7d8b9b5d6b095b0ca"
+    assert (h.n_singles_s, h.n_singles_as) == (71945, 71727)
 
 
 def test_workers_do_not_change_the_result():
@@ -216,3 +229,119 @@ def test_sampled_delays_match_model_mean(rng):
     want = float((centers * masses).sum() / masses.sum())
     assert draws.mean() == pytest.approx(want, rel=0.01)
     assert draws.min() >= 0.0 and draws.max() <= MODEL.tau_max
+
+
+class _Uniforms:
+    """Stands in for a Generator whose random(out=) hands out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.used = 0
+
+    def random(self, out):
+        out[:] = self.u[self.used:self.used + len(out)]
+        self.used += len(out)
+        return out
+
+
+def _delay_cdf(model):
+    taus = model.taus
+    pos = taus >= 0
+    taus, g2 = taus[pos], np.asarray(model.g2, dtype=float)[pos]
+    masses = 0.5 * (g2[1:] + g2[:-1]) * np.diff(taus)
+    return taus, np.concatenate([[0.0], np.cumsum(masses)]) / masses.sum()
+
+
+def _zero_run_model():
+    g2 = MODEL.g2.copy()
+    g2[300:700] = 0.0  # flat CDF segments inside the grid
+    g2[1900:] = 0.0  # and a flat top
+    return MODEL.with_g2(g2)
+
+
+def _last_node_below_one():
+    # a seeded search for a G2 whose sequential CDF ends just below 1
+    rng = np.random.default_rng(0)
+    while True:
+        model = MODEL.with_g2(rng.random(200))
+        if _delay_cdf(model)[1][-1] < 1.0:
+            return model
+
+
+@pytest.mark.parametrize("model", [
+    MODEL,
+    _zero_run_model(),
+    g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0, n_points=2000,
+                                             tau_min=-37.3)),
+    g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0, n_points=16)),
+    _last_node_below_one(),
+], ids=["default", "zero_run", "negative_tau_min", "16_points", "cdf_below_1"])
+def test_sampled_delays_equal_np_interp(model):
+    taus, cdf = _delay_cdf(model)
+    # uniforms on and next to every CDF node and every edge of a
+    # power-of-two cell grid up to 4x the guide table's, the ends of
+    # [0, 1), then plain draws across several blocks
+    top = 4 * photostatistics._GUIDE_CELLS_PER_NODE * len(cdf)
+    edges = np.concatenate([np.arange(c) / c for c in 2 ** np.arange(4, 20)
+                            if c <= top])
+    marks = np.concatenate([cdf, edges, [1.0 - 2.0 ** -53]])
+    u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+                        np.random.default_rng(7).random(150_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = _sample_delays(model, len(u), _Uniforms(u))
+    assert np.array_equal(got, np.interp(u, cdf, taus))
+    if cdf[-1] < 1.0:
+        assert np.any(got[u >= cdf[-1]] == taus[-1])
+    # and on a Generator: the same stream as one rng.random(n) call
+    got = _sample_delays(model, 100_003, np.random.default_rng(3))
+    want = np.interp(np.random.default_rng(3).random(100_003), cdf, taus)
+    assert np.array_equal(got, want)
+
+
+def _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width):
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for t_as in stream_as.tolist():
+        for t_s in stream_s.tolist():
+            d = t_as - t_s
+            if 0.0 <= d < window:
+                counts[min(int(d * 1e9 / bin_width), n_bins - 1)] += 1
+    return counts
+
+
+def test_correlation_matches_brute_force_with_exact_ties():
+    # tags on a 2**-22 s lattice: differences, window and bin edges are
+    # exact, so ties at t_as == t_s, at the window and on every bin edge
+    # (bins are 4 lattice steps) are decided exactly by both sides
+    unit = 2.0 ** -22
+    bin_width = 1e9 * 4 * unit
+    n_bins = 8
+    window = n_bins * 4 * unit
+    rng = np.random.default_rng(11)
+    stream_s = np.sort(rng.integers(0, 4000, 1000) * unit)
+    stream_as = np.sort(rng.integers(0, 4000, 1000) * unit)
+    diffs = stream_as[:, None] - stream_s[None, :]
+    assert np.any(diffs == 0.0) and np.any(diffs == window)
+    assert np.any(diffs == 4 * unit * 3)
+    want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
+    assert want.sum() > 1000
+    got = _correlate(stream_s, stream_as, window, n_bins, bin_width)
+    assert np.array_equal(got, want)
+
+
+def test_correlation_of_an_empty_stream_is_empty():
+    tags = np.array([1e-6, 2e-6])
+    for stream_s, stream_as in ((tags, tags[:0]), (tags[:0], tags)):
+        counts = _correlate(stream_s, stream_as, 1e-6, 4, 1.0)
+        assert counts.dtype == np.int64 and not counts.any()
+
+
+def test_oversized_shard_is_rejected_before_it_runs(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(photostatistics, "_simulate_shard", must_not_run)
+    tags = photostatistics.MAX_SHARD_TAGS
+    cfg = _cfg(pair_rate=4.0e4, duty_cycle=0.2, background_s=2000.0,
+               background_as=2000.0, measurement_time=tags / 1e4 * 4.0)
+    with pytest.raises(ValidationError, match="n_shards to at least 5"):
+        simulate_coincidences(MODEL, cfg, n_shards=4)
