@@ -14,7 +14,7 @@ i.e. 2*gamma in angular units; the Hz figure is 2*gamma*si_gamma13/(2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DegenerateInputError, ValidationError
 
@@ -45,6 +45,9 @@ class SystemParams:
     si_gamma13: float = DEFAULT_SI_GAMMA13
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if not (self.gamma13 > 0):
             raise ValidationError("gamma13 must be positive")
         if self.gamma12 < 0 or self.gamma14 < 0:

@@ -27,8 +27,9 @@ shard counts give statistically equivalent, not bit-identical, data.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +67,9 @@ class DetectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         for name in ("qe_stokes", "qe_antistokes", "channel_t_stokes",
                      "channel_t_antistokes", "duty_cycle"):
             v = getattr(self, name)

@@ -202,6 +202,10 @@ def test_malformed_yaml_raises(tmp_path):
     "grid: {n_points: true}",
     "detection: {rng_seed: true}",
     "system: {omega_c: true}",
+    "system: {omega_c: .nan}",
+    "system: {gamma12: .inf}",
+    "detection: {pair_rate: .nan}",
+    "detection: {background_as: .inf}",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"

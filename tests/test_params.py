@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biphoton import DegenerateInputError, SystemParams, dressed_modes
+from biphoton import DegenerateInputError, SystemParams, ValidationError, dressed_modes
 
 
 def test_default_parameter_values():
@@ -40,6 +40,14 @@ def test_rate_to_hz_linewidth_convention():
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(Exception):
+        SystemParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(field, value):
+    # NaN passes every ordering check, so it needs its own
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
         SystemParams(**{field: value})
 
 

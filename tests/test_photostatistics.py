@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,11 @@ def test_invalid_configs_rejected():
         DetectionConfig(qe_stokes=1.5)
     with pytest.raises(ValidationError):
         DetectionConfig(duty_cycle=1.5)
+    for name in ("pair_rate", "background_s", "background_as", "measurement_time",
+                 "bin_width", "qe_stokes"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                DetectionConfig(**{name: value})
     with pytest.raises(ValidationError):
         simulate_coincidences(MODEL, _cfg(), n_shards=0)
     zero = MODEL.with_g2(np.zeros_like(MODEL.g2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    ComplexSpectrum,
     GridError,
     SystemParams,
     TimeGridConfig,
@@ -69,7 +70,8 @@ def test_numeric_matches_analytic_over_draws(rng):
 
 def test_numeric_tail_correction_matters(detuned_params, default_grid):
     # the bare trapezoid sum misses the 1/omega^2 tails beyond the grid;
-    # psi_numeric adds them back in closed form
+    # psi_numeric carries them by a fitted rational function whose
+    # transform is exact
     p = detuned_params
     spec = chi3_approx(p, default_frequency_grid(p))
     t = default_grid.taus / p.time_unit_ns
@@ -82,6 +84,19 @@ def test_numeric_tail_correction_matters(detuned_params, default_grid):
     err_with = np.max(np.abs(wa.g2 - psi_numeric(spec, default_grid, p).g2)) / scale
     err_bare = np.max(np.abs(wa.g2 - np.abs(bare) ** 2)) / scale
     assert err_with < 1e-3 < err_bare
+
+
+@pytest.mark.parametrize("shift", [300.0, -300.0])
+def test_numeric_tails_on_grids_off_zero(detuned_params, default_grid, shift):
+    # a spectrum moved by shift transforms to psi * exp(-i*shift*tau); a
+    # grid that does not straddle omega = 0 gets the same tail treatment
+    p = detuned_params
+    spec = chi3_approx(p, default_frequency_grid(p))
+    moved = ComplexSpectrum(spec.omega_min + shift, spec.omega_step, spec.values)
+    exact = g2_analytic(p, grid=default_grid).psi
+    exact = exact * np.exp(-1j * shift * default_grid.taus / p.time_unit_ns)
+    numeric = psi_numeric(moved, default_grid, p).psi
+    assert np.max(np.abs(numeric - exact)) < 5e-5 * np.max(np.abs(exact))
 
 
 def test_parseval(detuned_params):
