@@ -91,6 +91,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert seen == []
 
 
+def test_source_never_names_scipy_signal():
+    named = [str(f) for f in SRC.rglob("*.py") if "scipy.signal" in f.read_text()]
+    assert named == []
+
+
+def test_source_never_names_scipy_optimize():
+    named = [str(f) for f in SRC.rglob("*.py") if "scipy.optimize" in f.read_text()]
+    assert named == []
+
+
 def test_source_never_names_scipy():
     named = [str(f) for f in SRC.rglob("*.py") if "scipy" in f.read_text().lower()]
     assert named == []
