@@ -9,14 +9,20 @@ a histogram bin of width t_c.  True pairs and accidentals therefore
 emerge from one mechanism, and the flat accidental floor obeys
 S_s * S_as * t_c per bin and second.
 
+Each shard draws its pairs in blocks of _BLOCK from copies of its
+generator advanced to the start of each per-pair run, so the values
+equal those of whole-length draws, and keeps only the detected tags.
 Delays are drawn by inverse CDF through a guide table (Chen & Asau,
-1974): one lookup finds the CDF segment of almost every uniform, and
-the delay is np.interp's own formula on that segment, so the draws are
-bit-identical to np.interp(u, cdf, taus) on the same uniforms.  The
-correlation searches once for the last Stokes tag before each
-anti-Stokes tag and walks back from there, pair by pair, over only the
-tags that still have a partner in the window.  A shard expected to hold
-more than MAX_SHARD_TAGS tags is refused before anything is allocated.
+1974) built once per run: one lookup finds the CDF segment of almost
+every uniform, and the delay is np.interp's own formula on that
+segment, so the draws are bit-identical to np.interp(u, cdf, taus) on
+the same uniforms.  The correlation takes the anti-Stokes tags a block
+at a time, finds the last Stokes tag before each by one stable sort
+with the Stokes tags the block spans, and walks back from there, pair
+by pair, over only the tags that still have a partner in the window.
+Memory therefore follows the detected tags, not the generated pairs.
+A shard expected to hold more than MAX_SHARD_TAGS tags, or a histogram
+of more than MAX_SHARD_TAGS bins, is refused before anything is drawn.
 
 The run can be sharded into independent slices of the measurement time,
 each with its own child RNG stream, so results are reproducible for a
@@ -26,6 +32,7 @@ shard counts give statistically equivalent, not bit-identical, data.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +43,15 @@ import numpy as np
 from .errors import ValidationError
 from .wavepacket import Wavepacket
 
-# expected tags (pairs plus background singles) one shard may hold; at
-# about 100 B of working memory per pair this is about 5 GB
+# expected tags (pairs plus background singles) one shard may hold, and
+# the most histogram bins; a shard's traced peak is about 13 B per
+# detected tag, and a pair gives at most two, so at most about 25 B per
+# expected tag (1.6e6 lossless pairs: 40 MB), about 1.3 GB at the bound
 MAX_SHARD_TAGS = 50_000_000
-# guide-table cells per CDF node, and uniforms drawn per block
+# guide-table cells per CDF node, and pairs (or anti-Stokes tags in the
+# correlation) taken per block
 _GUIDE_CELLS_PER_NODE = 32
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ class DetectionConfig:
             raise ValidationError("bin_width must be positive")
         if not (self.measurement_time > 0):
             raise ValidationError("measurement_time must be positive")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -140,22 +152,30 @@ class LossBudget:
         return out
 
 
-def _sample_delays(model: Wavepacket, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n delays (ns) from the normalized G2 density by inverse CDF.
+@dataclass(frozen=True)
+class _DelayTable:
+    """Inverse CDF of the normalized G2 density, with its guide table.
 
-    The CDF is the trapezoid mass accumulated over the tau >= 0 nodes,
-    and each uniform u maps to np.interp(u, cdf, taus).  A guide table
-    (Chen & Asau, 1974) finds u's segment j, the last node with
-    cdf[j] <= u, in one lookup: it splits [0, 1) into a power of two of
-    equal cells, at least _GUIDE_CELLS_PER_NODE per node, so u * cells
-    is exact and a cell holding no node lies inside a single segment.
-    Only the few draws that land in a cell holding a node are searched.
-    The delay is then np.interp's own formula, slope[j]*(u - cdf[j]) +
-    taus[j], with the same slopes; the last node, reached when the CDF
-    rounds below 1, has slope 0 and returns taus[-1] as np.interp does.
-    The result equals np.interp bit for bit.  Uniforms are drawn in
-    blocks of _BLOCK, which consume the stream exactly as one rng.random(n)
-    call, so only the memory held changes.
+    cdf is the trapezoid mass accumulated over the tau >= 0 nodes taus,
+    slope holds np.interp's slopes between them with 0 appended for the
+    last node, and guide gives, for each of len(guide) equal cells of
+    [0, 1), the one CDF segment that cell lies in, or -1 where a node
+    falls inside the cell.
+    """
+
+    taus: np.ndarray
+    cdf: np.ndarray
+    slope: np.ndarray
+    guide: np.ndarray
+
+
+def _delay_table(model: Wavepacket) -> _DelayTable:
+    """Build the delay table of a model; the shards of one run share it.
+
+    The guide table (Chen & Asau, 1974) splits [0, 1) into a power of
+    two of equal cells, at least _GUIDE_CELLS_PER_NODE per CDF node, so
+    u * cells is exact and a cell holding no node lies inside a single
+    segment.
     """
     taus = model.taus
     g2 = np.asarray(model.g2, dtype=float)
@@ -175,29 +195,30 @@ def _sample_delays(model: Wavepacket, n: int, rng: np.random.Generator) -> np.nd
     cells = 1 << int(np.ceil(np.log2(_GUIDE_CELLS_PER_NODE * len(cdf))))
     guide = np.searchsorted(cdf, np.arange(cells) / cells, side="right") - 1
     guide[(cdf[cdf < 1.0] * cells).astype(np.intp)] = -1
+    return _DelayTable(taus, cdf, slope, guide)
 
-    out = np.empty(n)
-    size = min(n, _BLOCK)
-    u_buf, x_buf = np.empty(size), np.empty(size)
-    cell_buf, j_buf = np.empty(size, np.intp), np.empty(size, np.intp)
-    for start in range(0, n, _BLOCK):
-        d = out[start:start + _BLOCK]
-        m = len(d)
-        u, x, cell, j = u_buf[:m], x_buf[:m], cell_buf[:m], j_buf[:m]
-        rng.random(out=u)
-        np.multiply(u, cells, out=x)
-        np.copyto(cell, x, casting="unsafe")  # floor, as u >= 0
-        # every index is in range: "clip" only skips take's buffered check
-        np.take(guide, cell, out=j, mode="clip")
-        mixed = np.flatnonzero(j < 0)
-        j[mixed] = np.searchsorted(cdf, u[mixed], side="right") - 1
-        np.take(cdf, j, out=x, mode="clip")
-        np.subtract(u, x, out=x)
-        np.take(slope, j, out=d, mode="clip")
-        d *= x
-        np.take(taus, j, out=x, mode="clip")
-        d += x
-    return out
+
+def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
+    """Map uniforms in [0, 1) to delays (ns), equal to np.interp(u, cdf, taus).
+
+    The guide table gives each u's segment j, the last node with
+    cdf[j] <= u, in one lookup; only the few uniforms that land in a
+    cell holding a node are searched.  The delay is np.interp's own
+    formula, slope[j]*(u - cdf[j]) + taus[j], with the same slopes; the
+    last node, reached when the CDF rounds below 1, has slope 0 and
+    returns taus[-1] as np.interp does.  The result equals np.interp
+    bit for bit.
+    """
+    x = u * len(table.guide)
+    # astype floors, as u >= 0; every index is in range, and "clip"
+    # only skips take's buffered bounds check
+    j = np.take(table.guide, x.astype(np.intp), mode="clip")
+    mixed = np.flatnonzero(j < 0)
+    j[mixed] = np.searchsorted(table.cdf, u[mixed], side="right") - 1
+    np.subtract(u, np.take(table.cdf, j, mode="clip"), out=x)
+    x *= np.take(table.slope, j, mode="clip")
+    x += np.take(table.taus, j, mode="clip")
+    return x
 
 
 def _correlate(
@@ -210,54 +231,100 @@ def _correlate(
     """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
 
     Both streams are sorted, in s; window is in s and bin_width in ns.
-    One search finds, for each anti-Stokes tag, the last Stokes tag at or
-    before it; the walk then steps every still-active anti-Stokes tag one
-    Stokes tag further back, binning each pair, until the Stokes tag falls
-    at or before t_as - window.  Each pass costs only the tags still
-    active, and most tags have 0-2 partners.
+    The anti-Stokes tags are taken _BLOCK at a time.  Stokes tags up to
+    the block's first tag precede all of it and those after its last
+    follow it, so one stable sort of the block with the Stokes tags in
+    between places each block tag right after the last Stokes tag at or
+    before it; this merge of two sorted runs is faster than a binary
+    search per tag.  The walk then steps every still-active tag one
+    Stokes tag further back, collecting each pair's bin, until the
+    Stokes tag falls at or before t_as - window.  Each pass costs only
+    the tags still active, most tags have 0-2 partners, and one bincount
+    per block adds the pairs to the histogram.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
-    s_idx = np.searchsorted(stream_s, stream_as, side="right") - 1
-    as_idx = np.flatnonzero(s_idx >= 0)
-    s_idx = s_idx[as_idx]
-    while as_idx.size:
-        t_as = stream_as[as_idx]
-        t_s = stream_s[s_idx]
-        near = np.flatnonzero(t_s > t_as - window)
-        as_idx, s_idx = as_idx[near], s_idx[near]
-        diffs_ns = (t_as[near] - t_s[near]) * 1e9
-        idx = (diffs_ns / bin_width).astype(np.int64)
+    for start in range(0, len(stream_as), _BLOCK):
+        block = stream_as[start:start + _BLOCK]
+        lo, hi = np.searchsorted(stream_s, block[[0, -1]], side="right")
+        order = np.argsort(np.concatenate([stream_s[lo:hi], block]), kind="stable")
+        # block tag k, at sorted position p, follows lo + p - k Stokes tags
+        s_idx = np.flatnonzero(order >= hi - lo)
+        s_idx += lo - 1 - np.arange(len(block))
+        as_idx = np.flatnonzero(s_idx >= 0)
+        s_idx = s_idx[as_idx]
+        bins = [np.zeros(0, dtype=np.int64)]
+        while as_idx.size:
+            t_as = block[as_idx]
+            t_s = stream_s[s_idx]
+            near = np.flatnonzero(t_s > t_as - window)
+            as_idx, s_idx = as_idx[near], s_idx[near]
+            diffs_ns = (t_as[near] - t_s[near]) * 1e9
+            bins.append((diffs_ns / bin_width).astype(np.int64))
+            s_idx -= 1
+            more = s_idx >= 0
+            as_idx, s_idx = as_idx[more], s_idx[more]
+        idx = np.concatenate(bins)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
-        s_idx -= 1
-        more = s_idx >= 0
-        as_idx, s_idx = as_idx[more], s_idx[more]
+        found = np.bincount(idx)
+        counts[:len(found)] += found
     return counts
 
 
 def _simulate_shard(
-    model: Wavepacket,
+    table: _DelayTable,
     cfg: DetectionConfig,
     t_slice: float,
     n_bins: int,
     rng: np.random.Generator,
 ) -> CoincidenceHistogram:
-    mean_pairs = cfg.pair_rate * cfg.duty_cycle * t_slice
-    n_pairs = int(rng.poisson(mean_pairs))
-    t_s = rng.random(n_pairs)
-    t_s *= t_slice
-    t_as = _sample_delays(model, n_pairs, rng)
-    t_as *= 1e-9
-    t_as += t_s
+    """One slice of the measurement, drawn and correlated in blocks.
 
-    keep_s = rng.random(n_pairs) < cfg.qe_stokes * cfg.channel_t_stokes
-    keep_as = rng.random(n_pairs) < cfg.qe_antistokes * cfg.channel_t_antistokes
+    The draws follow one fixed order on rng: the pair count, then
+    n_pairs uniforms each for the Stokes times, the delays, the Stokes
+    keep and the anti-Stokes keep, then the two background counts and
+    their times.  rng is a PCG64 Generator, whose random() takes one
+    64-bit output per double, so four copies advanced by 0, n, 2n and 3n
+    outputs draw the four per-pair runs side by side, _BLOCK pairs at a
+    time, into reused buffers, with the same values as four whole-length
+    calls.  Each block keeps only its detected tags and maps delays only
+    for the kept anti-Stokes pairs, so memory follows the detected tags
+    rather than the generated pairs.
+    """
+    n_pairs = int(rng.poisson(cfg.pair_rate * cfg.duty_cycle * t_slice))
+    forks = []
+    for k in range(4):
+        fork = copy.deepcopy(rng)
+        fork.bit_generator.advance(k * n_pairs)
+        forks.append(fork)
+    rng.bit_generator.advance(4 * n_pairs)
+
+    eff_s = cfg.qe_stokes * cfg.channel_t_stokes
+    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
+    buffers = np.empty((4, min(n_pairs, _BLOCK)))
+    tags_s, tags_as = [], []
+    for start in range(0, n_pairs, _BLOCK):
+        m = min(_BLOCK, n_pairs - start)
+        t_s, u, keep_s, keep_as = (
+            fork.random(out=buf[:m]) for fork, buf in zip(forks, buffers)
+        )
+        t_s *= t_slice
+        # take on flatnonzero's indices: a boolean index into a random
+        # mask runs several times slower
+        tags_s.append(t_s.take(np.flatnonzero(keep_s < eff_s)))
+        kept = np.flatnonzero(keep_as < eff_as)
+        t_as = _delays(table, u.take(kept))
+        t_as *= 1e-9
+        t_as += t_s.take(kept)
+        tags_as.append(t_as)
 
     n_bg_s = int(rng.poisson(cfg.background_s * t_slice))
     n_bg_as = int(rng.poisson(cfg.background_as * t_slice))
-    stream_s = np.concatenate([t_s[keep_s], rng.random(n_bg_s) * t_slice])
-    stream_as = np.concatenate([t_as[keep_as], rng.random(n_bg_as) * t_slice])
-    del t_s, t_as  # freed before the correlation allocates its own arrays
+    tags_s.append(rng.random(n_bg_s) * t_slice)
+    tags_as.append(rng.random(n_bg_as) * t_slice)
+    stream_s = np.concatenate(tags_s)
+    del tags_s  # each list is freed once its stream is whole
+    stream_as = np.concatenate(tags_as)
+    del tags_as
     stream_s.sort()
     stream_as.sort()
 
@@ -281,13 +348,16 @@ def simulate_coincidences(
 
     The tau window is [0, tau_max of the model grid), binned at
     cfg.bin_width.  Sharding splits measurement_time into n_shards equal
-    slices with child RNG streams spawned from rng_seed.  With workers > 1
-    the shards run on a pool of that many threads, with 1 in the calling
-    thread, and they merge in shard order, so the result is deterministic
-    for fixed (rng_seed, n_shards) regardless of workers.  A shard whose
-    expected tag count, (pair_rate*duty_cycle + background_s +
-    background_as)*measurement_time/n_shards, exceeds MAX_SHARD_TAGS
-    raises ValidationError before anything is drawn.
+    slices with child RNG streams spawned from rng_seed.  The delay table
+    is built once and shared, and each shard draws and correlates its
+    pairs in blocks of _BLOCK.  With workers > 1 the shards run on a pool
+    of that many threads, with 1 in the calling thread, and they merge in
+    shard order, so the result is deterministic for fixed (rng_seed,
+    n_shards) regardless of workers.  ValidationError is raised before
+    anything is drawn when a shard's expected tag count,
+    (pair_rate*duty_cycle + background_s + background_as)*
+    measurement_time/n_shards, or the bin count, tau_max/bin_width,
+    exceeds MAX_SHARD_TAGS.
     """
     if n_shards < 1:
         raise ValidationError("n_shards must be >= 1")
@@ -301,13 +371,20 @@ def simulate_coincidences(
             f"MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; raise n_shards to at "
             f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}"
         )
-    n_bins = max(1, int(round(model.tau_max / cfg.bin_width)))
+    bins = model.tau_max / cfg.bin_width
+    if not (bins <= MAX_SHARD_TAGS):
+        raise ValidationError(
+            f"the histogram would have {bins:.3g} bins of {cfg.bin_width:g} ns, "
+            f"above MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; widen bin_width"
+        )
+    n_bins = max(1, int(round(bins)))
+    table = _delay_table(model)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
     t_slice = cfg.measurement_time / n_shards
 
     def run(seed_seq) -> CoincidenceHistogram:
         return _simulate_shard(
-            model, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
+            table, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
         )
 
     if workers == 1:

@@ -26,6 +26,7 @@ acceptance suite pins the agreement at 1e-3.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ class TimeGridConfig:
     tau_min: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("tau_min", "tau_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.n_points < 16:
             raise ValidationError("time grid needs at least 16 points")
         if not (self.tau_max > self.tau_min):

@@ -252,6 +252,24 @@ def test_montecarlo_without_workers_exits_2(workers, tmp_path, capsys):
     assert not (tmp_path / "histogram.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["montecarlo", "filter"])
+def test_infinite_tau_max_exits_2(sub, tmp_path, capsys):
+    assert main([sub, "--tau-max", "inf", "--out", str(tmp_path)]) == 2
+    assert "tau_max must be finite" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["montecarlo", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "rng_seed must be non-negative" in capsys.readouterr().err
+
+
+def test_oversized_bin_count_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "detection: {bin_width_ns: 1.0e-7}\n")
+    assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "above MAX_SHARD_TAGS" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
 def test_invalid_physics_exits_2(capsys):
     assert main(["dressed", "--omega-c", "-1.0"]) == 2
 

@@ -206,6 +206,10 @@ def test_malformed_yaml_raises(tmp_path):
     "system: {gamma12: .inf}",
     "detection: {pair_rate: .nan}",
     "detection: {background_as: .inf}",
+    "grid: {tau_max_ns: .inf}",
+    "grid: {tau_min_ns: .nan}",
+    "grid: {tau_min_ns: -.inf}",
+    "detection: {rng_seed: -1}",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"

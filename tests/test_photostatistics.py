@@ -1,9 +1,11 @@
 """Monte Carlo coincidence generation, normalization, and loss budgets."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from biphoton import (
     simulate_coincidences,
 )
 from biphoton import photostatistics
-from biphoton.photostatistics import _correlate, _sample_delays
+from biphoton.photostatistics import _correlate, _delay_table, _delays
 
 MODEL_P = SystemParams(delta_c=28.3, omega_c=14.8)
 MODEL = g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0, n_points=2000))
@@ -226,28 +228,13 @@ def test_invalid_configs_rejected():
 
 
 def test_sampled_delays_match_model_mean(rng):
-    from biphoton.photostatistics import _sample_delays
-
-    draws = _sample_delays(MODEL, 200_000, rng)
+    draws = _delays(_delay_table(MODEL), rng.random(200_000))
     taus = MODEL.taus
     masses = 0.5 * (MODEL.g2[1:] + MODEL.g2[:-1]) * np.diff(taus)
     centers = 0.5 * (taus[1:] + taus[:-1])
     want = float((centers * masses).sum() / masses.sum())
     assert draws.mean() == pytest.approx(want, rel=0.01)
     assert draws.min() >= 0.0 and draws.max() <= MODEL.tau_max
-
-
-class _Uniforms:
-    """Stands in for a Generator whose random(out=) hands out fixed uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-        self.used = 0
-
-    def random(self, out):
-        out[:] = self.u[self.used:self.used + len(out)]
-        self.used += len(out)
-        return out
 
 
 def _delay_cdf(model):
@@ -286,7 +273,7 @@ def test_sampled_delays_equal_np_interp(model):
     taus, cdf = _delay_cdf(model)
     # uniforms on and next to every CDF node and every edge of a
     # power-of-two cell grid up to 4x the guide table's, the ends of
-    # [0, 1), then plain draws across several blocks
+    # [0, 1), then plain draws
     top = 4 * photostatistics._GUIDE_CELLS_PER_NODE * len(cdf)
     edges = np.concatenate([np.arange(c) / c for c in 2 ** np.arange(4, 20)
                             if c <= top])
@@ -294,12 +281,13 @@ def test_sampled_delays_equal_np_interp(model):
     u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
                         np.random.default_rng(7).random(150_000)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = _sample_delays(model, len(u), _Uniforms(u))
+    table = _delay_table(model)
+    got = _delays(table, u)
     assert np.array_equal(got, np.interp(u, cdf, taus))
     if cdf[-1] < 1.0:
         assert np.any(got[u >= cdf[-1]] == taus[-1])
-    # and on a Generator: the same stream as one rng.random(n) call
-    got = _sample_delays(model, 100_003, np.random.default_rng(3))
+    # and on a Generator's draws
+    got = _delays(table, np.random.default_rng(3).random(100_003))
     want = np.interp(np.random.default_rng(3).random(100_003), cdf, taus)
     assert np.array_equal(got, want)
 
@@ -314,7 +302,7 @@ def _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width):
     return counts
 
 
-def test_correlation_matches_brute_force_with_exact_ties():
+def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
     # tags on a 2**-22 s lattice: differences, window and bin edges are
     # exact, so ties at t_as == t_s, at the window and on every bin edge
     # (bins are 4 lattice steps) are decided exactly by both sides
@@ -332,6 +320,13 @@ def test_correlation_matches_brute_force_with_exact_ties():
     assert want.sum() > 1000
     got = _correlate(stream_s, stream_as, window, n_bins, bin_width)
     assert np.array_equal(got, want)
+    # and in blocks of anti-Stokes tags that start or end on a Stokes tag
+    for block in (7, 64):
+        monkeypatch.setattr(photostatistics, "_BLOCK", block)
+        ends = np.concatenate([stream_as[::block], stream_as[block - 1::block]])
+        assert np.isin(ends, stream_s).any()
+        got = _correlate(stream_s, stream_as, window, n_bins, bin_width)
+        assert np.array_equal(got, want)
 
 
 def test_correlation_of_an_empty_stream_is_empty():
@@ -341,13 +336,174 @@ def test_correlation_of_an_empty_stream_is_empty():
         assert counts.dtype == np.int64 and not counts.any()
 
 
-def test_oversized_shard_is_rejected_before_it_runs(monkeypatch):
-    def must_not_run(*args):
-        raise AssertionError("a shard ran")
+def _must_not_run(*args):
+    raise AssertionError("a shard ran")
 
-    monkeypatch.setattr(photostatistics, "_simulate_shard", must_not_run)
+
+def test_oversized_shard_is_rejected_before_it_runs(monkeypatch):
+    monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
     tags = photostatistics.MAX_SHARD_TAGS
     cfg = _cfg(pair_rate=4.0e4, duty_cycle=0.2, background_s=2000.0,
                background_as=2000.0, measurement_time=tags / 1e4 * 4.0)
     with pytest.raises(ValidationError, match="n_shards to at least 5"):
         simulate_coincidences(MODEL, cfg, n_shards=4)
+
+
+@pytest.mark.parametrize("bin_width", [
+    1.0e-7,
+    MODEL.tau_max / (1.01 * photostatistics.MAX_SHARD_TAGS),
+])
+def test_oversized_bin_count_is_rejected_before_it_runs(monkeypatch, bin_width):
+    monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
+    with pytest.raises(ValidationError, match="bins .* above MAX_SHARD_TAGS"):
+        simulate_coincidences(MODEL, _cfg(bin_width=bin_width))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="rng_seed must be non-negative"):
+        DetectionConfig(rng_seed=-1)
+    assert DetectionConfig(rng_seed=0).rng_seed == 0
+
+
+# the shard as it was before pairs were drawn in blocks: every per-pair
+# array at full length, delays by np.interp on one rng.random(n) call
+# (the map the guide table reproduces bit for bit), and one search over
+# all anti-Stokes tags; kept verbatim as the oracle of the blocked shard
+
+def _full_array_sample_delays(model, n, rng):
+    taus, cdf = _delay_cdf(model)
+    return np.interp(rng.random(n), cdf, taus)
+
+
+def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
+    counts = np.zeros(n_bins, dtype=np.int64)
+    s_idx = np.searchsorted(stream_s, stream_as, side="right") - 1
+    as_idx = np.flatnonzero(s_idx >= 0)
+    s_idx = s_idx[as_idx]
+    while as_idx.size:
+        t_as = stream_as[as_idx]
+        t_s = stream_s[s_idx]
+        near = np.flatnonzero(t_s > t_as - window)
+        as_idx, s_idx = as_idx[near], s_idx[near]
+        diffs_ns = (t_as[near] - t_s[near]) * 1e9
+        idx = (diffs_ns / bin_width).astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=n_bins)
+        s_idx -= 1
+        more = s_idx >= 0
+        as_idx, s_idx = as_idx[more], s_idx[more]
+    return counts
+
+
+def _full_array_shard(model, cfg, t_slice, n_bins, rng):
+    mean_pairs = cfg.pair_rate * cfg.duty_cycle * t_slice
+    n_pairs = int(rng.poisson(mean_pairs))
+    t_s = rng.random(n_pairs)
+    t_s *= t_slice
+    t_as = _full_array_sample_delays(model, n_pairs, rng)
+    t_as *= 1e-9
+    t_as += t_s
+
+    keep_s = rng.random(n_pairs) < cfg.qe_stokes * cfg.channel_t_stokes
+    keep_as = rng.random(n_pairs) < cfg.qe_antistokes * cfg.channel_t_antistokes
+
+    n_bg_s = int(rng.poisson(cfg.background_s * t_slice))
+    n_bg_as = int(rng.poisson(cfg.background_as * t_slice))
+    stream_s = np.concatenate([t_s[keep_s], rng.random(n_bg_s) * t_slice])
+    stream_as = np.concatenate([t_as[keep_as], rng.random(n_bg_as) * t_slice])
+    del t_s, t_as  # freed before the correlation allocates its own arrays
+    stream_s.sort()
+    stream_as.sort()
+
+    window = n_bins * cfg.bin_width * 1e-9
+    return photostatistics.CoincidenceHistogram(
+        bin_width=cfg.bin_width,
+        counts=_full_array_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width),
+        n_singles_s=len(stream_s),
+        n_singles_as=len(stream_as),
+        measurement_time=t_slice,
+    )
+
+
+def _pairs_per_second(blocks, measurement_time=10.0, duty_cycle=0.2):
+    return blocks * photostatistics._BLOCK / (duty_cycle * measurement_time)
+
+
+ORACLE_CASES = {
+    "no_pairs": dict(pair_rate=0.0, background_s=3000.0, background_as=2000.0),
+    "nothing": dict(pair_rate=0.0),
+    "under_one_block": dict(pair_rate=_pairs_per_second(0.3), background_s=500.0,
+                            background_as=700.0),
+    "blocks_and_a_part": dict(pair_rate=_pairs_per_second(2.5), background_s=2000.0,
+                              background_as=2000.0, rng_seed=8),
+    "no_backgrounds": dict(pair_rate=_pairs_per_second(2.5), rng_seed=9),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_blocked_shard_equals_full_array_shard(case):
+    cfg = _cfg(measurement_time=10.0, **ORACLE_CASES[case])
+    n_pairs = np.random.default_rng(cfg.rng_seed).poisson(
+        cfg.pair_rate * cfg.duty_cycle * cfg.measurement_time)
+    if case == "under_one_block":
+        assert 0 < n_pairs < photostatistics._BLOCK
+    if case in ("blocks_and_a_part", "no_backgrounds"):
+        assert n_pairs > 2 * photostatistics._BLOCK
+        assert n_pairs % photostatistics._BLOCK
+    n_bins = 400
+    got = photostatistics._simulate_shard(
+        _delay_table(MODEL), cfg, cfg.measurement_time, n_bins,
+        np.random.default_rng(cfg.rng_seed))
+    want = _full_array_shard(MODEL, cfg, cfg.measurement_time, n_bins,
+                             np.random.default_rng(cfg.rng_seed))
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.n_singles_s, got.n_singles_as) == (want.n_singles_s, want.n_singles_as)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sharded_run_equals_full_array_shards(workers):
+    cfg = _cfg(measurement_time=30.0, pair_rate=_pairs_per_second(1.7, 10.0),
+               background_s=1500.0, background_as=1000.0, rng_seed=12)
+    got = simulate_coincidences(MODEL, cfg, n_shards=3, workers=workers)
+    shards = [_full_array_shard(MODEL, cfg, 10.0, 400, np.random.default_rng(s))
+              for s in np.random.SeedSequence(cfg.rng_seed).spawn(3)]
+    want = shards[0].merged_with(shards[1]).merged_with(shards[2])
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.n_singles_s, got.n_singles_as) == (want.n_singles_s, want.n_singles_as)
+    assert got.measurement_time == want.measurement_time
+
+
+def test_advanced_fork_continues_one_random_call():
+    # the blocked shard draws its four per-pair runs from copies of its
+    # generator advanced by 0, n, 2n and 3n: that holds while the shard's
+    # generator is PCG64 and random() takes one 64-bit output per double
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
+    assert type(rng.bit_generator) is np.random.PCG64
+    rng.poisson(1234.5)
+    whole = copy.deepcopy(rng).random(3000)
+    for k in (0, 1, 1000, 2999, 3000):
+        fork = copy.deepcopy(rng)
+        fork.bit_generator.advance(k)
+        assert np.array_equal(fork.random(3000 - k), whole[k:])
+    # and the generator advanced past all of them continues where the
+    # whole call left off
+    after = copy.deepcopy(rng)
+    after.random(3000)
+    rng.bit_generator.advance(3000)
+    assert np.array_equal(rng.poisson(50.0, 20), after.poisson(50.0, 20))
+    assert np.array_equal(rng.random(5), after.random(5))
+
+
+def test_shard_memory_follows_detected_tags():
+    # one shard of 1.6 M generated pairs with 2000 /s background per arm
+    cfg = _cfg(pair_rate=4.0e4, measurement_time=200.0, background_s=2000.0,
+               background_as=2000.0)
+    tracemalloc.start()
+    try:
+        h = simulate_coincidences(MODEL, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tags = h.n_singles_s + h.n_singles_as
+    assert tags > 1_500_000
+    assert peak <= 16 * tags

@@ -1,5 +1,7 @@
 """Time-domain synthesis: analytic two-mode shape vs numeric transform."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from biphoton import (
     GridError,
     SystemParams,
     TimeGridConfig,
+    ValidationError,
     Wavepacket,
     beat_period,
     chi3_approx,
@@ -173,6 +176,13 @@ def test_longer_coherence_with_detuning():
         late = slice(int(0.6 * len(w.g2)), None)
         fractions.append(w.g2[late].sum() / w.g2.sum())
     assert all(a < b for a, b in zip(fractions, fractions[1:]))
+
+
+@pytest.mark.parametrize("name", ["tau_min", "tau_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_grid_rejected(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        TimeGridConfig(**{name: value})
 
 
 def test_grid_too_narrow_rejected(detuned_params, default_grid):
