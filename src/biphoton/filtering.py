@@ -21,6 +21,7 @@ narrow component's own time constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,30 +182,38 @@ def modulation_depth_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cycle modulation depth (max-min)/(max+min) of G2.
 
-    Windows of one beat period are tiled from start_ns (default: the
-    global peak of G2).  Returns (window_start_times, depths).
+    Windows [t_i, t_i + period_ns) of one beat period are tiled from
+    start_ns (default: the global peak of G2) while they end inside the
+    grid, up to the first that holds fewer than 4 samples or has
+    max + min = 0.  Returns (window_start_times, depths).
+
+    One pass: the edges t_i are a cumulative sum, the same sequential
+    additions as stepping t_i += period_ns, one searchsorted finds the
+    window bounds and maximum/minimum.reduceat the extremes.  At most
+    len(taus)//4 windows can hold 4 samples, which caps the edge count.
     """
-    if period_ns <= 0:
-        raise ValidationError("beat period must be positive")
+    if not (0 < period_ns < math.inf):
+        raise ValidationError("beat period must be positive and finite")
     taus = w.taus
     g2 = np.asarray(w.g2, dtype=float)
     if start_ns is None:
         start_ns = float(taus[np.argmax(g2)])
-    starts = []
-    depths = []
-    t0 = start_ns
-    while t0 + period_ns <= taus[-1]:
-        m = (taus >= t0) & (taus < t0 + period_ns)
-        if m.sum() < 4:
-            break
-        seg = g2[m]
-        hi, lo = seg.max(), seg.min()
-        if hi + lo == 0:
-            break
-        starts.append(t0)
-        depths.append((hi - lo) / (hi + lo))
-        t0 += period_ns
-    return np.asarray(starts), np.asarray(depths)
+    span = taus[-1] - start_ns
+    if not math.isfinite(span):
+        return np.asarray([]), np.asarray([])
+    n_edges = int(min(max(span // period_ns, -1.0) + 2, len(taus) // 4 + 1))
+    edges = np.full(n_edges, period_ns)
+    edges[0] = start_ns
+    np.cumsum(edges, out=edges)
+    bounds = np.searchsorted(taus, edges)
+    # each stop rule keeps the windows before the first one it fails
+    ok = (edges[1:] <= taus[-1]) & (np.diff(bounds) >= 4)
+    n = int(np.argmin(np.append(ok, False)))
+    hi = np.maximum.reduceat(g2[:bounds[n]], bounds[:n])
+    lo = np.minimum.reduceat(g2[:bounds[n]], bounds[:n])
+    total = hi + lo
+    n = int(np.argmin(np.append(total != 0, False)))
+    return edges[:n], (hi[:n] - lo[:n]) / total[:n]
 
 
 def beat_suppression(

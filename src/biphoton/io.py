@@ -55,18 +55,18 @@ def write_csv(
     for key, value in _flatten(metadata or {}):
         lines.append(f"# {key}: {value}")
     lines.append(",".join(names))
-    for row in zip(*arrays):
-        lines.append(",".join(_format_cell(v) for v in row))
+    if length:
+        # one % over the row-major cells: %d for integer columns, which
+        # prints them as str(int) does, %.10g for the rest
+        row = ",".join("%d" if a.dtype.kind in "iu" else "%.10g" for a in arrays)
+        cells = [None] * (length * len(arrays))
+        for j, a in enumerate(arrays):
+            cells[j::len(arrays)] = a.tolist()
+        lines.append("\n".join([row] * length) % tuple(cells))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.10g}"
 
 
 def read_csv(path) -> tuple[dict, dict]:

@@ -227,13 +227,27 @@ def _fast_len(n: int) -> int:
 def _chirp(n: int, m: int, w: complex, a: complex):
     """Input scaling a^-k * w^(k^2/2), the chirp's FFT and the output chirp.
 
+    The powers are exp(e * log(w)) from one complex log of each scalar,
+    equal bit for bit to numpy's w ** e: numpy expands an integer
+    exponent in (-100, 100) by repeated multiplication and hands every
+    other exponent to libm cpow, which glibc computes as cexp(e * clog(w)).
+    So ** is kept only for the leading entries with such an exponent,
+    k <= 14 for w^(k^2/2) and k < 100 for a^-k.
+
     Depends only on the grids, so the filtered and the unfiltered
     spectrum of one run share it.  The arrays are read-only because every
     caller gets the same objects.
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = w ** (k ** 2 / 2.0)
-    awk2 = a ** -k[:n] * wk2[:n]
+    wk2 = (k ** 2 / 2.0) * np.log(w)
+    np.exp(wk2, out=wk2)
+    wk2[:15] = w ** (k[:15] ** 2 / 2.0)
+    awk2 = -k[:n] * np.log(complex(a))  # complex for a real a too
+    np.exp(awk2, out=awk2)
+    awk2[:100] = a ** -k[:min(n, 100)]
+    # in place but in the order of a**-k * wk2: numpy's complex multiply
+    # rounds by operand order, not by where it writes
+    awk2 *= wk2[:n]
     fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), _fast_len(n + m - 1))
     wk2 = wk2[:m].copy()
     for arr in (awk2, fwk2, wk2):
@@ -245,12 +259,15 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     """sum_j x_j * z_k^-j at z_k = a * w^-k, k < m, by Bluestein's algorithm.
 
     Same steps, operand order and FFT length as the library czt that
-    tests/test_wavepacket.py compares it with, bit for bit.
+    tests/test_wavepacket.py compares it with, bit for bit.  The library
+    raises w and a to each power with **; _chirp takes the same powers
+    as exp(e * log(w)), which glibc's cpow computes too, and keeps **
+    where numpy multiplies out an integer power instead.
     """
     n = len(x)
     awk2, fwk2, wk2 = _chirp(n, m, w, a)
     # x times a named array: numpy would compute an inline temporary
-    # product in place, which rounds differently
+    # product in place with the operands swapped, which rounds differently
     y = np.fft.ifft(fwk2 * np.fft.fft(x * awk2, len(fwk2)))
     return y[n - 1:n + m - 1] * wk2
 

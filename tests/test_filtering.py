@@ -1,6 +1,7 @@
 """Etalon response, mode selection, and beat-depth analysis."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from biphoton import (
     SystemParams,
     TimeGridConfig,
     ValidationError,
+    Wavepacket,
     apply_filter,
+    beat_period,
     beat_suppression,
     broadband_etalon,
     chi3_approx,
@@ -29,6 +32,7 @@ from biphoton import (
     psi_numeric,
     psi_poles,
     spectrum_energy,
+    suggest_mask_start,
 )
 from biphoton import wavepacket
 
@@ -306,3 +310,83 @@ def test_separated_poles_are_not_merged(point, default_grid, monkeypatch):
     monkeypatch.setattr(wavepacket, "POLE_MERGE_TOL", 0.0)
     assert np.array_equal(filtered_wavepacket(p, filters, default_grid).psi, merged)
     assert np.array_equal(g2_analytic(p, grid=default_grid).psi, analytic)
+
+
+def _loop_depth_profile(w, period_ns, start_ns=None):
+    """The window-by-window form modulation_depth_profile replaced."""
+    taus = w.taus
+    g2 = np.asarray(w.g2, dtype=float)
+    if start_ns is None:
+        start_ns = float(taus[np.argmax(g2)])
+    starts = []
+    depths = []
+    t0 = start_ns
+    while t0 + period_ns <= taus[-1]:
+        m = (taus >= t0) & (taus < t0 + period_ns)
+        if m.sum() < 4:
+            break
+        seg = g2[m]
+        hi, lo = seg.max(), seg.min()
+        if hi + lo == 0:
+            break
+        starts.append(t0)
+        depths.append((hi - lo) / (hi + lo))
+        t0 += period_ns
+    return np.asarray(starts), np.asarray(depths)
+
+
+def _assert_same_profile(w, period_ns, start_ns=None):
+    want = _loop_depth_profile(w, period_ns, start_ns)
+    got = modulation_depth_profile(w, period_ns, start_ns)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got
+
+
+def test_depth_profile_matches_window_loop(default_grid):
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        p = SystemParams(delta_c=float(rng.uniform(20.0, 50.0)),
+                         omega_c=float(rng.uniform(10.0, 25.0)))
+        spec = chi3_full(p, default_frequency_grid(p))
+        filtered = apply_filter(spec, narrowband_etalon(narrow_mode_center(p), p))
+        per = beat_period(p)
+        for s in (spec, filtered):
+            w = psi_numeric(s, default_grid, p)
+            for period in (per, 0.37 * per, 3.1 * per):
+                _assert_same_profile(w, period)
+                _assert_same_profile(w, period, float(rng.uniform(0.0, 400.0)))
+
+
+def test_depth_profile_edge_cases(detuned_params, default_grid):
+    w = g2_analytic(detuned_params, grid=default_grid)
+    per = beat_period(detuned_params)
+    # no whole period left before the grid ends
+    starts, depths = _assert_same_profile(w, per, w.tau_max - 0.5 * per)
+    assert len(starts) == len(depths) == 0
+    for start in (float("nan"), -float("inf"), float("inf")):
+        assert len(_assert_same_profile(w, per, start)[0]) == 0
+    # a period far below the step: no window holds 4 samples, and the
+    # edge count stays capped by the grid
+    tracemalloc.start()
+    starts, _ = modulation_depth_profile(w, 1e-300)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(starts) == 0 and peak < 1e6
+    assert len(_loop_depth_profile(w, 1e-300)[0]) == 0
+    # an all-dark window ends the profile
+    g2 = np.zeros(200)
+    g2[:40] = 1.0 + np.arange(40) % 3
+    dark = Wavepacket(0.0, 0.5, g2)
+    starts, _ = _assert_same_profile(dark, 5.0)
+    assert len(starts) == 4
+
+
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_depth_profile_rejects_bad_periods(period, detuned_params, default_grid):
+    w = g2_analytic(detuned_params, grid=default_grid)
+    for call in (lambda: modulation_depth_profile(w, period),
+                 lambda: beat_suppression(w, w, period),
+                 lambda: suggest_mask_start(w, period)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            call()

@@ -10,6 +10,7 @@ from biphoton import (
     SystemParams,
     TimeGridConfig,
     ValidationError,
+    __version__,
     g2_analytic,
     histogram_metadata,
     read_csv,
@@ -79,6 +80,33 @@ def test_integer_cells_written_without_decimals(tmp_path):
     body = [l for l in path.read_text().splitlines()
             if not l.startswith("#")][1:]
     assert body == ["3", "14"]
+
+
+def _cell_by_cell(v):
+    """The per-cell formatting write_csv's row template replaced."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.10g}"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_body_matches_cell_by_cell_formatting(tmp_path, rows):
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300,
+                         -1e-300, 1.0 / 3.0, 123456.7890123, 2.5, 1e16])
+    ints = np.array([0, -1, 2 ** 63 - 1, -2 ** 63, 42, 7, 1, 3, 9, 11, 5, 6])
+    columns = {
+        "f": np.resize(specials, rows),
+        "i": np.resize(ints, rows).astype(np.int64),
+        "u": np.resize(np.array([0, 2 ** 64 - 1, 17], dtype=np.uint64), rows),
+        "g": np.resize(np.array([0.1, -0.0, 1e-45, 3e38, np.nan], np.float32), rows),
+        "b": np.resize(np.array([True, False]), rows),
+    }
+    path = tmp_path / "cells.csv"
+    write_csv(path, columns)
+    want = [",".join(columns)] + [
+        ",".join(_cell_by_cell(v) for v in row) for row in zip(*columns.values())
+    ]
+    assert path.read_text() == f"# tool: biphoton {__version__}\n" + "\n".join(want) + "\n"
 
 
 def test_histogram_round_trip(tmp_path):

@@ -1,9 +1,11 @@
 """Time-domain synthesis: analytic two-mode shape vs numeric transform."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biphoton import (
     ComplexSpectrum,
@@ -12,6 +14,7 @@ from biphoton import (
     TimeGridConfig,
     ValidationError,
     Wavepacket,
+    apply_filter,
     beat_period,
     chi3_approx,
     chi3_full,
@@ -19,11 +22,13 @@ from biphoton import (
     dressed_modes,
     g2_analytic,
     g2_resonant,
+    narrow_mode_center,
+    narrowband_etalon,
     psi_numeric,
     spectrum_energy,
     spectrum_power,
 )
-from biphoton.wavepacket import _czt, _fast_len
+from biphoton.wavepacket import _chirp, _czt, _fast_len
 
 
 def _draws(n, rng):
@@ -268,4 +273,61 @@ def test_fast_len_matches_scipy():
 
     assert [_fast_len(n) for n in range(1, 5001)] == [
         next_fast_len(n) for n in range(1, 5001)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.one_of(st.integers(1, 14), st.integers(15, 40), st.integers(90, 130)),
+    data=st.data(),
+    w_abs=st.floats(0.9995, 1.0005),
+    w_arg=st.floats(-np.pi, np.pi),
+    a_kind=st.sampled_from(["real_one", "one", "unit", "off_unit"]),
+    a_arg=st.floats(-np.pi, np.pi),
+    a_abs=st.floats(0.99, 1.01),
+)
+def test_chirp_matches_power_form(size, data, w_abs, w_arg, a_kind, a_arg, a_abs):
+    # exp(e*log w) against numpy's own w**e, including the leading
+    # integer exponents that numpy multiplies out; the longer of the n
+    # inputs and the m outputs spans the chirp
+    n = data.draw(st.one_of(st.just(size), st.integers(1, size)), label="n")
+    m = size if n < size else data.draw(st.integers(1, size), label="m")
+    w = complex(w_abs * np.exp(1j * w_arg))
+    a = {"real_one": 1.0, "one": 1 + 0j, "unit": complex(np.exp(1j * a_arg)),
+         "off_unit": complex(a_abs * np.exp(1j * a_arg))}[a_kind]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    with np.errstate(all="ignore"):
+        wk2 = w ** (k ** 2 / 2.0)
+        awk2 = a ** -k[:n] * wk2[:n]
+        _chirp.cache_clear()
+        got_awk2, _, got_wk2 = _chirp(n, m, w, a)
+    assert np.array_equal(got_wk2, wk2[:m])
+    assert np.array_equal(got_awk2, awk2)
+
+
+def test_chirp_matches_power_form_at_transform_size():
+    # psi_numeric's sizes, where k^2/2 runs to 1.3e8
+    k = np.arange(2 ** 14, dtype=np.int32)
+    w, a = np.exp(-1j * 6e-5), np.exp(0.3j) * 1.0001
+    _chirp.cache_clear()
+    awk2, _, wk2 = _chirp(2 ** 14, 2000, w, a)
+    full = w ** (k ** 2 / 2.0)
+    assert np.array_equal(wk2, full[:2000])
+    assert np.array_equal(awk2, a ** -k * full)
+
+
+def test_transform_bytes_are_pinned():
+    # recorded before the chirp took its powers from one complex log:
+    # any change in a rounding of psi_numeric changes a digest
+    p = SystemParams(delta_c=28.3, omega_c=14.8)
+    spec = chi3_full(p, default_frequency_grid(p))
+    filtered = apply_filter(spec, narrowband_etalon(narrow_mode_center(p), p))
+    digests = [
+        hashlib.sha256(np.asarray(psi_numeric(s, TimeGridConfig(), p).psi,
+                                  dtype="<c16").tobytes()).hexdigest()
+        for s in (spec, filtered)
+    ]
+    assert digests == [
+        "2860cb36cf7b6ee6d57a26c6000f54fd8a2a3ed229001a2907e33609ed07cb9e",
+        "cb2112425f8f53b20f34e537c8ce2faac4a5e97f2deb1e60b74064cee7343038",
     ]
