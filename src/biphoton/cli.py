@@ -8,6 +8,10 @@ File headers echo the config file as written, without the flags.  All
 file output is deterministic for a fixed config and seed (timestamps
 only with --timestamps).
 
+filter, montecarlo and modulate take every delay curve, with or without
+a filter section, from the exact residue sum filtered_wavepacket; only
+spectrum and wavepacket also write the two-pole approximation.
+
 Exit codes: 0 success, 2 validation error, 3 numerical error,
 4 I/O error.
 """
@@ -23,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_from_dict, read_config_file
-from .errors import NumericalError, ToolkitError
-from .estimation import FitModel, fit_wavepacket, initial_guess
+from .errors import NumericalError, OutputError, ToolkitError
+from .estimation import MODEL_NAMES, FitModel, fit_wavepacket, initial_guess
 from .filtering import (
     apply_filter,
     beat_suppression,
@@ -120,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[shared],
                        help="fit a model shape to a histogram CSV")
     p.add_argument("--data", required=True, help="histogram CSV from montecarlo")
-    p.add_argument("--model", choices=["two_component", "resonant",
-                                       "single_exponential", "auto"],
+    p.add_argument("--model", choices=[*MODEL_NAMES, "auto"],
                    help="model shape (overrides config)")
     p.set_defaults(func=cmd_fit)
 
@@ -167,14 +170,17 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _meta(cfg: RunConfig, command: str, **extra) -> dict:
-    meta = {
-        "command": command,
-        "system": dataclasses.asdict(cfg.system),
-    }
+    meta = {"command": command, "system": dataclasses.asdict(cfg.system)}
     if cfg.echo:
         meta["config"] = cfg.echo
-    meta.update(extra)
-    return meta
+    return {**meta, **extra}
+
+
+def _write(cfg: RunConfig, out: Path, name: str, command: str, curve: str,
+           axis: tuple[str, np.ndarray], values) -> None:
+    """Write `values` against `axis`, a (column name, samples) pair."""
+    write_csv(out / name, dict([axis, ("value", values)]),
+              _meta(cfg, command, curve=curve), cfg.output.timestamps)
 
 
 def _print_lines(pairs) -> None:
@@ -203,34 +209,30 @@ def cmd_dressed(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _spectra(cfg: RunConfig, filters):
-    """Frequency grid, chi3_full on it, and that spectrum through the filters."""
+    """Frequency grid, and the power of chi3_full on it without and with
+    the filters in series, both relative to the unfiltered peak."""
     omegas = default_frequency_grid(cfg.system, cfg.freq_points)
     full = chi3_full(cfg.system, omegas)
     filtered = full
     for f in filters:
         filtered = apply_filter(filtered, f)
-    return omegas, full, filtered
+    power = np.abs(full.values) ** 2
+    peak = power.max()
+    return omegas, power / peak, np.abs(filtered.values) ** 2 / peak
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     omegas, full, filtered = _spectra(cfg, cfg.filters)
     approx = chi3_approx(cfg.system, omegas)
     out = _outdir(cfg)
-    write_csv(out / "spectrum_full.csv",
-              {"omega_over_gamma13": omegas, "value": spectrum_power(full)},
-              _meta(cfg, "spectrum", curve="exact"), cfg.output.timestamps)
-    write_csv(out / "spectrum_approx.csv",
-              {"omega_over_gamma13": omegas, "value": spectrum_power(approx)},
-              _meta(cfg, "spectrum", curve="two_pole"), cfg.output.timestamps)
-    written = ["spectrum_full.csv", "spectrum_approx.csv"]
+    curves = {"full": ("exact", full),
+              "approx": ("two_pole", spectrum_power(approx))}
     if cfg.filters:
-        rel = np.abs(filtered.values) ** 2 / np.abs(full.values).max() ** 2
-        write_csv(out / "spectrum_filtered.csv",
-                  {"omega_over_gamma13": omegas, "value": rel},
-                  _meta(cfg, "spectrum", curve="filtered"),
-                  cfg.output.timestamps)
-        written.append("spectrum_filtered.csv")
-    print(f"wrote {', '.join(written)} in {out}")
+        curves["filtered"] = ("filtered", filtered)
+    for kind, (curve, power) in curves.items():
+        _write(cfg, out, f"spectrum_{kind}.csv", "spectrum", curve,
+               ("omega_over_gamma13", omegas), power)
+    print(f"wrote {', '.join(f'spectrum_{k}.csv' for k in curves)} in {out}")
     return 0
 
 
@@ -240,15 +242,13 @@ def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
     spectrum = chi3_approx(cfg.system, omegas)
     numeric = psi_numeric(spectrum, cfg.grid, cfg.system)
     out = _outdir(cfg)
-    write_csv(out / "wavepacket_analytic.csv",
-              {"tau_ns": analytic.taus, "value": analytic.g2},
-              _meta(cfg, "wavepacket", curve="analytic"), cfg.output.timestamps)
-    write_csv(out / "wavepacket_numeric.csv",
-              {"tau_ns": numeric.taus, "value": numeric.g2},
-              _meta(cfg, "wavepacket", curve="numeric"), cfg.output.timestamps)
-    write_csv(out / "spectrum_power.csv",
-              {"omega_over_gamma13": omegas, "value": spectrum_power(full)},
-              _meta(cfg, "wavepacket", curve="spectrum"), cfg.output.timestamps)
+    axis = ("tau_ns", analytic.taus)
+    _write(cfg, out, "wavepacket_analytic.csv", "wavepacket", "analytic",
+           axis, analytic.g2)
+    _write(cfg, out, "wavepacket_numeric.csv", "wavepacket", "numeric",
+           axis, numeric.g2)
+    _write(cfg, out, "spectrum_power.csv", "wavepacket", "spectrum",
+           ("omega_over_gamma13", omegas), full)
     a = analytic.g2 / analytic.g2.max()
     n = numeric.g2 / numeric.g2.max()
     print(f"analytic vs numeric max deviation: {np.max(np.abs(a - n)):.3e}")
@@ -265,21 +265,12 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
     after = filtered_wavepacket(p, filters, cfg.grid)
     depth_before, depth_after = beat_suppression(before, after, beat_period(p))
     out = _outdir(cfg)
-    peak = np.abs(full.values).max() ** 2
-    write_csv(out / "spectrum_unfiltered.csv",
-              {"omega_over_gamma13": omegas,
-               "value": np.abs(full.values) ** 2 / peak},
-              _meta(cfg, "filter", curve="unfiltered"), cfg.output.timestamps)
-    write_csv(out / "spectrum_filtered.csv",
-              {"omega_over_gamma13": omegas,
-               "value": np.abs(filtered.values) ** 2 / peak},
-              _meta(cfg, "filter", curve="filtered"), cfg.output.timestamps)
-    write_csv(out / "wavepacket_unfiltered.csv",
-              {"tau_ns": before.taus, "value": before.g2},
-              _meta(cfg, "filter", curve="unfiltered"), cfg.output.timestamps)
-    write_csv(out / "wavepacket_filtered.csv",
-              {"tau_ns": after.taus, "value": after.g2},
-              _meta(cfg, "filter", curve="filtered"), cfg.output.timestamps)
+    for kind, power, w in (("unfiltered", full, before),
+                           ("filtered", filtered, after)):
+        _write(cfg, out, f"spectrum_{kind}.csv", "filter", kind,
+               ("omega_over_gamma13", omegas), power)
+        _write(cfg, out, f"wavepacket_{kind}.csv", "filter", kind,
+               ("tau_ns", w.taus), w.g2)
     _print_lines([
         ("beat_depth_before", f"{depth_before:.4f}"),
         ("beat_depth_after", f"{depth_after:.4f}"),
@@ -288,20 +279,12 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_wavepacket(cfg: RunConfig):
-    """Analytic two-pole model, or the exact filtered one when filters are set."""
-    if not cfg.filters:
-        return g2_analytic(cfg.system, grid=cfg.grid)
-    return filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
-
-
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> int:
     det = cfg.detection
-    model = _model_wavepacket(cfg)
+    model = filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
     h = simulate_coincidences(model, det, n_shards=args.shards,
                               workers=args.workers)
-    out = _outdir(cfg)
-    path = out / "histogram.csv"
+    path = _outdir(cfg) / "histogram.csv"
     meta = histogram_metadata(h, det, extra={
         "command": "montecarlo",
         "system": dataclasses.asdict(cfg.system),
@@ -328,13 +311,12 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"auto-selected model: {model.which}")
     result = fit_wavepacket(h, model, fit_window=cfg.fit.window_ns,
                             si_gamma13=cfg.system.si_gamma13)
-    print(result.report())
-    out = _outdir(cfg)
-    path = out / "fit_result.txt"
+    report = result.report()
+    print(report)
+    path = _outdir(cfg) / "fit_result.txt"
     try:
-        path.write_text(result.report() + "\n")
+        path.write_text(report + "\n")
     except OSError as exc:
-        from .errors import OutputError
         raise OutputError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
     if not result.converged:
@@ -344,7 +326,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     settings = cfg.mask
-    w = _model_wavepacket(cfg)
+    w = filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
     mask = settings.mask
     if settings.start_auto:
         start = suggest_mask_start(w, beat_period(cfg.system))
@@ -353,16 +335,13 @@ def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     masked = apply_mask(w, mask, settings.delay_ns, settings.convention,
                         settings.rise_time_ns)
     out = _outdir(cfg)
-    write_csv(out / "wavepacket_unmasked.csv",
-              {"tau_ns": w.taus, "value": w.g2},
-              _meta(cfg, "modulate", curve="unmasked"), cfg.output.timestamps)
-    write_csv(out / "mask.csv",
-              {"tau_ns": w.taus,
-               "value": mask_values(mask, w.taus - settings.delay_ns)},
-              _meta(cfg, "modulate", curve="mask"), cfg.output.timestamps)
-    write_csv(out / "wavepacket_modulated.csv",
-              {"tau_ns": masked.taus, "value": masked.g2},
-              _meta(cfg, "modulate", curve="modulated"), cfg.output.timestamps)
+    axis = ("tau_ns", w.taus)
+    _write(cfg, out, "wavepacket_unmasked.csv", "modulate", "unmasked",
+           axis, w.g2)
+    _write(cfg, out, "mask.csv", "modulate", "mask", axis,
+           mask_values(mask, w.taus - settings.delay_ns))
+    _write(cfg, out, "wavepacket_modulated.csv", "modulate", "modulated",
+           axis, masked.g2)
     print(f"beat_period_ns: {beat_period(cfg.system):.6g}")
     print(f"wrote 3 files in {out}")
     return 0

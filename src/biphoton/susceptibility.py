@@ -161,14 +161,13 @@ def component_weights(p: SystemParams) -> tuple[float, float]:
     so each integrated power is pi*|residue|^2/gamma and the ratio
     weight_narrow/weight_broad equals gamma_broad/gamma_narrow, i.e.
     gamma_plus/gamma_minus for delta_c >= 0.  The narrow component always
-    dominates; that dominance is what spectral filtering exploits.
+    dominates; that dominance is what spectral filtering exploits.  Which
+    component is narrow is DressedModes.fwhm_narrow's rule.
     """
     d = dressed_modes(p)
     p1, p2 = approx_poles(p)
     residue = 1.0 / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
     # integral of |residue/(w - (d0 - i*g))|^2 over the real axis = pi*|residue|^2/g
-    w_minus = np.pi * residue ** 2 / d.gamma_minus
-    w_plus = np.pi * residue ** 2 / d.gamma_plus
-    if d.gamma_minus <= d.gamma_plus:
-        return (float(w_minus), float(w_plus))
-    return (float(w_plus), float(w_minus))
+    power = np.pi * residue ** 2
+    return (float(power / (0.5 * d.fwhm_narrow)),
+            float(power / (0.5 * d.fwhm_broad)))

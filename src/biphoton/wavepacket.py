@@ -223,7 +223,7 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _chirp(n: int, m: int, w: complex, a: complex):
     """Input scaling a^-k * w^(k^2/2), the chirp's FFT and the output chirp.
 
@@ -235,8 +235,9 @@ def _chirp(n: int, m: int, w: complex, a: complex):
     k <= 14 for w^(k^2/2) and k < 100 for a^-k.
 
     Depends only on the grids, so the filtered and the unfiltered
-    spectrum of one run share it.  The arrays are read-only because every
-    caller gets the same objects.
+    spectrum of one run share it; only that last entry is kept, because
+    another operating point has another frequency step.  The arrays are
+    read-only because every caller gets the same objects.
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = (k ** 2 / 2.0) * np.log(w)

@@ -1,5 +1,7 @@
 """Command-line front end: every subcommand, exit codes, reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from biphoton import (
     chi3_full,
     default_frequency_grid,
     exact_poles,
+    filtered_wavepacket,
     narrow_mode_center,
     psi_numeric,
     read_csv,
     read_histogram,
+    simulate_coincidences,
 )
 from biphoton.cli import main
 from biphoton.config import config_from_dict, load_config, read_config_file
@@ -169,6 +173,25 @@ def test_modulate_without_config_starts_at_zero(tmp_path, capsys):
     assert mask["value"][0] == 1.0
 
 
+def test_unfiltered_curves_are_one_model(tmp_path):
+    # without a filter section, modulate carves and montecarlo samples the
+    # same exact residue sum that filter writes as its unfiltered curve
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["filter", "--out", str(a)]) == 0
+    assert main(["modulate", "--out", str(b)]) == 0
+    unfiltered, _ = read_csv(a / "wavepacket_unfiltered.csv")
+    unmasked, _ = read_csv(b / "wavepacket_unmasked.csv")
+    assert np.array_equal(unmasked["value"], unfiltered["value"])
+
+    assert main(["montecarlo", "--seed", "5", "--shards", "2",
+                 "--out", str(c)]) == 0
+    h, _ = read_histogram(c / "histogram.csv")
+    cfg = config_from_dict({"detection": {"rng_seed": 5}})
+    want = simulate_coincidences(
+        filtered_wavepacket(cfg.system, [], cfg.grid), cfg.detection, n_shards=2)
+    assert np.array_equal(h.counts, want.counts)
+
+
 def test_budget_report(capsys):
     assert main(["budget", "--detected-rate", "2.18"]) == 0
     out = capsys.readouterr().out
@@ -286,3 +309,90 @@ def test_timestamps_flag_adds_header(tmp_path):
     assert main(["sweep", "--delta-c-list", "0", "--out", str(tmp_path),
                  "--timestamps"]) == 0
     assert "written:" in (tmp_path / "beat_periods.csv").read_text()
+
+
+# shaped like the benchmark's cold-CLI config, with a short measurement
+CYCLE_CONFIG = """\
+system:
+  delta_c: 28.3
+  omega_c: 14.8
+grid:
+  tau_max_ns: 400.0
+  n_points: 2000
+filter:
+  - center_gamma13: narrow
+detection:
+  pair_rate: 40000.0
+  qe_stokes: 0.6
+  qe_antistokes: 0.6
+  channel_t_stokes: 0.5
+  channel_t_antistokes: 0.5
+  duty_cycle: 0.2
+  measurement_time: 5.0
+  background_s: 500.0
+  background_as: 500.0
+  bin_width_ns: 1.0
+  rng_seed: 1
+fit:
+  model: single_exponential
+  window_ns: [100.0, 399.0]
+mask:
+  pulse_width_ns: 50.0
+  pulse_separation_ns: 50.0
+  n_pulses: 2
+  start_offset_ns: auto
+  rise_time_ns: 5.0
+sweep:
+  delta_c: [16.7, 28.3, 45.0]
+"""
+
+CYCLE_DIGESTS = {
+    "beat_periods.csv":
+        "49b74b756850270a85a99bf0cc530abe840fdb6b73123884350eff34c420417d",
+    "fit_result.txt":
+        "3c1f8fff6d6181fe253d7e32947199e8134fea84f778e655fa26855bdcd596cd",
+    "histogram.csv":
+        "396b065c0735768c6ad890867610626f549b4c1177710d11de338461e9a8aa00",
+    "histogram.csv.meta.json":
+        "cf75b0575acf4d9a6d8a1e8480d553e4506d0c9294caf803ff953d0c0c0a865b",
+    "mask.csv":
+        "9612197394cd28177113fd165c4e1abd5d7d7569ee14b1ebe8a73b87827ccf81",
+    "spectrum_approx.csv":
+        "30fc6fe155fa922075f3db52676e14e466c69ba8e4ff0165300817a8d8dfd9d8",
+    "spectrum_filtered.csv":
+        "155d7fa897b4d6b912dd63dc7f5deb45272fb6b33e93ea0f797a22c05b52365b",
+    "spectrum_full.csv":
+        "ee8a4cf5c3557bd8db24533a7f0bd4738618cea93cf87416643065eb481092c4",
+    "spectrum_power.csv":
+        "7025de03757afc15bdfb0d417040c501ce523fe73a3ec5c32d0ab6c91721a8af",
+    "spectrum_unfiltered.csv":
+        "1eb1d9bcbe92aa9b3a19e26ce110eb711a8df2ae473811bd62a0bdc9355c0e59",
+    "wavepacket_analytic.csv":
+        "59f1af546912fffb965020304488ba382491231f05f070d03939a8989ca87b58",
+    "wavepacket_filtered.csv":
+        "53ae0db63f2ac8787402089841fc5ba93d23f68275f1dc02dd0c22b85718c5ff",
+    "wavepacket_modulated.csv":
+        "7eda05c9242ad0a6e259dbfd207c1cb068d2225b99ea0e0488835b88a6ba88e5",
+    "wavepacket_numeric.csv":
+        "fb5542cce26a31b1f5a5ea43712ead1c76035f40b62dc6aabead7ebad8af87a9",
+    "wavepacket_unfiltered.csv":
+        "535c2fd6187604c9d934c76dc1ce9aef32da9f905ab3df97ecf1f61323f1aaa4",
+    "wavepacket_unmasked.csv":
+        "cb4993b8bd798d4e091a29c315aedef242d97ffec876c8d28d3657aa52e71b98",
+}
+
+
+def test_filtered_cycle_bytes_are_pinned(tmp_path):
+    # recorded before the CLI's curve writers and spectrum normalisations
+    # were merged: any drift in a byte of a written file changes a digest.
+    # Every header names the tool version, so a version bump re-records them.
+    cfg = _write_config(tmp_path, CYCLE_CONFIG)
+    out = tmp_path / "out"
+    for sub in ("dressed", "spectrum", "wavepacket", "filter", "montecarlo",
+                "fit", "modulate", "sweep"):
+        extra = {"montecarlo": ["--shards", "8", "--workers", "2"],
+                 "fit": ["--data", str(out / "histogram.csv")]}.get(sub, [])
+        assert main([sub, *extra, "--config", cfg, "--out", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())}
+    assert digests == CYCLE_DIGESTS

@@ -196,6 +196,21 @@ def test_weights_equal_on_resonance():
     assert wn == pytest.approx(wb)
 
 
+@pytest.mark.parametrize("dc", [-28.3, -5.0, 0.0, 5.0, 28.3])
+def test_weights_order_matches_the_width_branch(dc):
+    # the narrow/broad order comes from DressedModes' widths; it must
+    # equal, bit for bit, the branch on gamma_minus <= gamma_plus that
+    # component_weights used to carry
+    p = SystemParams(delta_c=dc, omega_c=14.8)
+    d = dressed_modes(p)
+    p1, p2 = approx_poles(p)
+    residue = 1.0 / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
+    w_minus = np.pi * residue ** 2 / d.gamma_minus
+    w_plus = np.pi * residue ** 2 / d.gamma_plus
+    want = (w_minus, w_plus) if d.gamma_minus <= d.gamma_plus else (w_plus, w_minus)
+    assert component_weights(p) == want
+
+
 def test_weak_coupling_single_peak():
     # as the coupling shuts off the spectrum collapses toward one line at
     # the ground-state coherence
