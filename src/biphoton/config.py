@@ -10,7 +10,7 @@ Sections (all optional; physically sensible defaults apply):
                channel_t_antistokes, duty_cycle, measurement_time,
                bin_width_ns, background_s, background_as, rng_seed
     fit:       model (two_component|resonant|single_exponential|auto),
-               window_ns ([lo, hi]), fixed_t0_ns
+               window_ns ([lo, hi])
     mask:      kind, pulse_width_ns, pulse_separation_ns, n_pulses,
                start_offset_ns (number or "auto"), delay_ns, convention,
                rise_time_ns, samples
@@ -126,6 +126,14 @@ def _num(section: str, key: str, value) -> float:
         raise ValidationError(f"[{section}] {key} must be a number") from exc
 
 
+def _nonneg(section: str, key: str, value) -> float:
+    """A number that is finite and non-negative."""
+    number = _num(section, key, value)
+    if not 0 <= number < math.inf:
+        raise ValidationError(f"[{section}] {key} must be finite and non-negative")
+    return number
+
+
 def _numbers(section: str, key: str, values) -> list[float]:
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"[{section}] {key} must be a list of numbers")
@@ -230,19 +238,9 @@ def _detection_from(d) -> DetectionConfig:
 
 
 def _fit_from(d) -> FitSettings:
-    d = _section("fit", d, {"model", "window_ns", "fixed_t0_ns"})
+    d = _section("fit", d, {"model", "window_ns"})
     name = d.get("model", FitModel.which)
-    fixed_t0 = d.get("fixed_t0_ns")
-    if name == "auto":
-        model = None
-    else:
-        model = FitModel(
-            which=name,
-            fixed_t0=(
-                _num("fit", "fixed_t0_ns", fixed_t0)
-                if fixed_t0 is not None else None
-            ),
-        )
+    model = None if name == "auto" else FitModel(name)
     window = d.get("window_ns")
     if window is not None:
         try:
@@ -285,9 +283,9 @@ def _mask_from(d) -> MaskSettings:
     return MaskSettings(
         mask=mask,
         start_auto=start_auto,
-        delay_ns=_num("mask", "delay_ns", d.get("delay_ns", 0.0)),
+        delay_ns=_nonneg("mask", "delay_ns", d.get("delay_ns", 0.0)),
         convention=convention,
-        rise_time_ns=_num("mask", "rise_time_ns", d.get("rise_time_ns", 0.0)),
+        rise_time_ns=_nonneg("mask", "rise_time_ns", d.get("rise_time_ns", 0.0)),
     )
 
 
@@ -295,7 +293,7 @@ def _budget_from(d) -> BudgetSettings:
     d = _section("budget", d, {"detected_rate", "factors"})
     kwargs = {}
     if "detected_rate" in d:
-        kwargs["detected_rate"] = _num("budget", "detected_rate", d["detected_rate"])
+        kwargs["detected_rate"] = _nonneg("budget", "detected_rate", d["detected_rate"])
     factors = d.get("factors")
     if factors is not None:
         try:

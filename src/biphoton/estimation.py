@@ -8,8 +8,8 @@ wavepackets, for calibration):
 * resonant: the on-resonance limit, equal half-widths, envelope
   exp(-2*gamma_minus*tau) with gamma_minus = (gamma13+gamma12)/2
 * single_exponential: a filtered single mode, exp(-2*gamma_minus*tau);
-  here t0 is pinned (a free t0 would be exactly degenerate with the
-  amplitude of a pure exponential)
+  it has no t0 parameter, so its origin stays at 0 ns (a free t0 would
+  be exactly degenerate with the amplitude of a pure exponential)
 
 Counts are weighted by 1/sqrt(max(counts, 1)), the Poisson error with a
 unit floor so empty bins cannot blow up the objective.
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
+from .filtering import _parabolic_peak
 from .params import DEFAULT_SI_GAMMA13
 from .photostatistics import CoincidenceHistogram
 from .wavepacket import Wavepacket
@@ -54,14 +55,9 @@ _PARAMS = {
 
 @dataclass(frozen=True)
 class FitModel:
-    """Choice of model shape.
-
-    fixed_t0 pins the time origin (ns); it is implied 0.0 for
-    single_exponential unless set.
-    """
+    """Choice of model shape; its parameters are its row of _PARAMS."""
 
     which: str = "two_component"
-    fixed_t0: float | None = None
 
     def __post_init__(self) -> None:
         if self.which not in MODEL_NAMES:
@@ -69,10 +65,7 @@ class FitModel:
 
     @property
     def parameter_names(self) -> tuple:
-        names = _PARAMS[self.which]
-        if self.fixed_t0 is not None:
-            names = tuple(n for n in names if n != "t0")
-        return names
+        return _PARAMS[self.which]
 
 
 @dataclass(frozen=True)
@@ -118,11 +111,12 @@ def _shape(
     """Unit-amplitude shape and its derivatives by the nonlinear parameters.
 
     The derivatives are keyed by parameter name; "t0" is always present.
-    Shape and derivatives vanish before t0.  Every shape and its first
-    derivative are zero at u = 0 except single_exponential's, whose t0
-    is pinned, so the derivative by t0 is continuous wherever it is used.
+    Shape and derivatives vanish before t0, which is 0 ns without a "t0"
+    in params.  Every shape and its first derivative are zero at u = 0
+    except single_exponential's, which has no t0 parameter, so the
+    derivative by t0 is continuous wherever it is used.
     """
-    t0 = params.get("t0", model.fixed_t0 if model.fixed_t0 is not None else 0.0)
+    t0 = params.get("t0", 0.0)
     u = (np.asarray(taus_ns, dtype=float) - t0) / time_unit_ns
     live = u >= 0
     u = np.where(live, u, 0.0)
@@ -151,14 +145,13 @@ def _shape(
             {k: np.where(live, v, 0.0) for k, v in grads.items()})
 
 
-def _data_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(taus_ns, y, sigma) from a histogram (Poisson) or wavepacket (unit)."""
+def _data_arrays(data) -> tuple[np.ndarray, np.ndarray, float]:
+    """(taus_ns, y, half): half a bin for a histogram, whose curve is then
+    bin-averaged and whose counts get Poisson weights; 0 for a wavepacket."""
     if isinstance(data, CoincidenceHistogram):
-        y = np.asarray(data.counts, dtype=float)
-        return data.bin_centers, y, np.sqrt(np.maximum(y, 1.0))
+        return data.bin_centers, np.asarray(data.counts, dtype=float), 0.5 * data.bin_width
     if isinstance(data, Wavepacket):
-        y = np.asarray(data.g2, dtype=float)
-        return data.taus, y, np.ones_like(y)
+        return data.taus, np.asarray(data.g2, dtype=float), 0.0
     raise ValidationError("data must be a CoincidenceHistogram or Wavepacket")
 
 
@@ -188,14 +181,13 @@ def fit_wavepacket(
     [lo, hi] ns.  Returns best-so-far values with converged=False when
     the solver stalls instead of raising.
     """
-    model, taus, y, sigma, y_scale = _prepare(data, model, fit_window)
+    model, taus, y, sigma, half, y_scale = _prepare(data, model, fit_window)
     time_unit_ns = 1.0e9 / si_gamma13
     guess = initial_guess_arrays(taus, y, time_unit_ns)
     nonlin = [n for n in model.parameter_names if n not in _LINEAR]
     lo, hi = _bounds(nonlin, float(taus[-1] - taus[0]))
     theta0 = np.clip(np.asarray([guess[n] for n in nonlin], dtype=float), lo + 1e-12, hi)
 
-    half = 0.5 * data.bin_width if isinstance(data, CoincidenceHistogram) else 0.0
     w = 1.0 / sigma
     yw = y * w
 
@@ -242,12 +234,10 @@ def _columns(
 
 
 def _prepare(data, model: FitModel | None, fit_window) -> tuple:
-    """(model, taus, y, sigma, y_scale): the windowed data at unit peak."""
+    """(model, taus, y, sigma, half, y_scale): windowed data at unit peak."""
     if model is None:
         model = FitModel()
-    if model.which == "single_exponential" and model.fixed_t0 is None:
-        model = FitModel(model.which, fixed_t0=0.0)
-    taus, y, sigma = _data_arrays(data)
+    taus, y, half = _data_arrays(data)
     if fit_window is None and model.which == "single_exponential":
         # a decay-only model cannot represent the rise to the arrival-time
         # peak or its flat top, so start once the curve has decayed off it
@@ -260,7 +250,7 @@ def _prepare(data, model: FitModel | None, fit_window) -> tuple:
     if fit_window is not None:
         lo_ns, hi_ns = fit_window
         m = (taus >= lo_ns) & (taus <= hi_ns)
-        taus, y, sigma = taus[m], y[m], sigma[m]
+        taus, y = taus[m], y[m]
     names = model.parameter_names
     if len(y) < 10 * len(names):
         raise ValidationError(
@@ -273,9 +263,8 @@ def _prepare(data, model: FitModel | None, fit_window) -> tuple:
     y_scale = float(np.max(np.abs(y)))
     if y_scale <= 0.0 or not np.isfinite(y_scale):
         raise ValidationError("data has no signal to fit")
-    y = y / y_scale
-    sigma = np.ones_like(y) if isinstance(data, Wavepacket) else sigma / y_scale
-    return model, taus, y, sigma, y_scale
+    sigma = np.sqrt(np.maximum(y, 1.0)) / y_scale if half else np.ones_like(y)
+    return model, taus, y / y_scale, sigma, half, y_scale
 
 
 def _summarise(
@@ -394,12 +383,14 @@ def initial_guess(data, si_gamma13: float = DEFAULT_SI_GAMMA13) -> dict:
     None and suggested_model is single_exponential.
     """
     taus, y, _ = _data_arrays(data)
-    return initial_guess_arrays(taus, y, 1.0e9 / si_gamma13, suggest=True)
+    guess = initial_guess_arrays(taus, y, 1.0e9 / si_gamma13)
+    if guess["suggested_model"] == "single_exponential":
+        guess["omega_e"] = None
+    return guess
 
 
-def initial_guess_arrays(
-    taus: np.ndarray, y: np.ndarray, time_unit_ns: float, suggest: bool = False
-) -> dict:
+def initial_guess_arrays(taus: np.ndarray, y: np.ndarray, time_unit_ns: float) -> dict:
+    """initial_guess on bare arrays; omega_e is 1.0 when no beat stands out."""
     y = np.asarray(y, dtype=float)
     if len(y) == 0 or not np.any(y > 0):
         raise DegenerateDataError("histogram carries no counts")
@@ -411,18 +402,15 @@ def initial_guess_arrays(
 
     omega_e, significant = _fft_beat(taus, y - background, time_unit_ns)
     gamma_minus = _envelope_decay(taus, y - background, time_unit_ns)
-    out = {
+    return {
         "amplitude": amplitude,
         "background": background,
         "gamma_minus": gamma_minus,
         "gamma_plus": max(1.0, 1.5 * gamma_minus),
         "omega_e": omega_e if significant else 1.0,
         "t0": 0.0,
+        "suggested_model": "two_component" if significant else "single_exponential",
     }
-    if suggest:
-        out["omega_e"] = omega_e if significant else None
-        out["suggested_model"] = "two_component" if significant else "single_exponential"
-    return out
 
 
 def _fft_beat(
@@ -448,12 +436,8 @@ def _fft_beat(
     local = 0.5 * (power[k - 3] + power[k + 3])
     floor = np.median(power[k_min:])
     significant = bool(power[k] > 3.0 * local and power[k] > 10.0 * floor)
-    # parabolic refinement
-    y0, y1, y2 = power[k - 1], power[k], power[k + 1]
-    denom = y0 - 2.0 * y1 + y2
-    kf = k + (0.5 * (y0 - y2) / denom if denom != 0 else 0.0)
     dt = float(taus[1] - taus[0])
-    freq_per_ns = kf / (n * dt)
+    freq_per_ns = _parabolic_peak(power, k) / (n * dt)
     omega_e = 2.0 * np.pi * freq_per_ns * time_unit_ns
     return float(omega_e), significant
 

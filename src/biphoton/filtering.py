@@ -22,7 +22,7 @@ narrow component's own time constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class EtalonFilter:
     peak_transmission: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if not (0 < self.fwhm < self.fsr):
             raise ValidationError("need 0 < fwhm < fsr")
         if not (0 < self.peak_transmission <= 1):
@@ -149,6 +152,13 @@ def filtered_wavepacket(
     return psi_poles(scale, poles, grid, p)
 
 
+def _parabolic_peak(values: np.ndarray, k: int) -> float:
+    """Vertex of the parabola through values[k-1:k+2]; k if they lie on a line."""
+    y0, y1, y2 = values[k - 1], values[k], values[k + 1]
+    denom = y0 - 2.0 * y1 + y2
+    return k + (0.5 * (y0 - y2) / denom if denom != 0 else 0.0)
+
+
 def estimate_beat_period_ns(w: Wavepacket) -> float:
     """Beat period from the dominant nonzero-frequency peak of G2's spectrum.
 
@@ -167,13 +177,7 @@ def estimate_beat_period_ns(w: Wavepacket) -> float:
     if len(candidates) == 0 or spec[candidates].max() == 0:
         raise ValidationError("no oscillation found in the wavepacket")
     k = int(candidates[np.argmax(spec[candidates])])
-    if 1 <= k < len(spec) - 1:
-        # parabolic refinement of the peak bin
-        y0, y1, y2 = spec[k - 1], spec[k], spec[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0:
-            k = k + 0.5 * (y0 - y2) / denom
-    freq_per_ns = k / (len(g2) * w.tau_step)
+    freq_per_ns = _parabolic_peak(spec, k) / (len(g2) * w.tau_step)
     return 1.0 / freq_per_ns
 
 

@@ -103,10 +103,14 @@ def apply_mask(
 
     g2_out = g2 * mask(tau - delay) under the default intensity
     convention, or g2 * mask(tau - delay)^2 under "amplitude".  The
-    shifted mask must overlap the wavepacket support.
+    shifted mask must overlap the wavepacket support.  delay and
+    rise_time (ns) must be finite and non-negative; a rise_time of 0
+    keeps the edges sharp.
     """
-    if delay < 0:
-        raise ValidationError("trigger delay must be non-negative")
+    if not 0 <= delay < np.inf:
+        raise ValidationError("trigger delay must be finite and non-negative")
+    if not 0 <= rise_time < np.inf:
+        raise ValidationError("rise_time must be finite and non-negative")
     if convention not in ("intensity", "amplitude"):
         raise ValidationError("convention must be intensity or amplitude")
     vals = mask_values(m, w.taus - delay)

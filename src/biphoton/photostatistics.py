@@ -435,8 +435,8 @@ def cauchy_schwarz(
 
 def loss_budget_rate(detected_rate: float, budget: LossBudget) -> float:
     """Invert a detected pair rate through the efficiency chain."""
-    if detected_rate < 0:
-        raise ValidationError("detected_rate must be non-negative")
+    if not 0 <= detected_rate < math.inf:
+        raise ValidationError("detected_rate must be finite and non-negative")
     return detected_rate / budget.product()
 
 

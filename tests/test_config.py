@@ -210,6 +210,13 @@ def test_malformed_yaml_raises(tmp_path):
     "grid: {tau_min_ns: .nan}",
     "grid: {tau_min_ns: -.inf}",
     "detection: {rng_seed: -1}",
+    "filter: {center_gamma13: .nan}",
+    "filter: {fsr_ghz: .inf}",
+    "mask: {rise_time_ns: .nan}",
+    "mask: {rise_time_ns: -5.0}",
+    "budget: {detected_rate: .nan}",
+    "budget: {detected_rate: .inf}",
+    "fit: {fixed_t0_ns: 0.0}",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"

@@ -62,6 +62,14 @@ def test_etalon_validation():
         EtalonFilter(center=0.0, fwhm=-1.0, fsr=10.0)
 
 
+@pytest.mark.parametrize("field", ["center", "fwhm", "fsr", "peak_transmission"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_etalon_rejects_non_finite_fields(field, value):
+    kwargs = dict(center=0.0, fwhm=0.5, fsr=10.0, peak_transmission=1.0)
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        EtalonFilter(**{**kwargs, field: value})
+
+
 def test_narrowband_peak_and_halfwidth():
     f = narrowband_etalon(0.0)
     omegas = np.linspace(-20.0, 20.0, 8001)

@@ -164,6 +164,15 @@ def test_negative_delay_rejected():
         apply_mask(W, ModulationMask(), delay=-1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(rise_time=np.nan), dict(rise_time=np.inf), dict(rise_time=-5.0),
+    dict(delay=np.nan), dict(delay=np.inf),
+])
+def test_non_finite_delay_or_rise_time_rejected(kwargs):
+    with pytest.raises(ValidationError, match="must be finite and non-negative"):
+        apply_mask(W, ModulationMask(), **kwargs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(width=st.floats(5.0, 80.0), sep=st.floats(0.0, 60.0),
        n=st.integers(1, 4), offset=st.floats(0.0, 150.0))

@@ -180,6 +180,12 @@ def test_budget_validation():
         LossBudget((("a", 1.2),))
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+def test_bad_detected_rate_rejected(rate):
+    with pytest.raises(ValidationError, match="detected_rate"):
+        loss_budget_rate(rate, LossBudget((("a", 0.5),)))
+
+
 def test_budget_report_mentions_every_factor():
     budget = LossBudget((("first_loss", 0.5), ("second_loss", 0.4)))
     report = budget_report(3.0, budget)
