@@ -382,6 +382,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return NumericalError.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -75,9 +75,15 @@ def mask_values(m: ModulationMask, taus_ns: np.ndarray) -> np.ndarray:
         return s
     out = np.zeros_like(taus_ns)
     period = m.pulse_width + m.pulse_separation
-    for k in range(m.n_pulses):
-        t0 = m.start_offset + k * period
-        out[(taus_ns >= t0) & (taus_ns < t0 + m.pulse_width)] = 1.0
+    # floor division finds each sample's pulse up to one either way, as
+    # long as rounding stays below a period; testing k - 1, k and k + 1
+    # with pulse k's own edges, t0 = start_offset + k*period, keeps the
+    # mask bit-identical to a loop over every pulse, at any n_pulses
+    k = np.floor((taus_ns - m.start_offset) / period)
+    for kc in (k - 1, k, k + 1):
+        t0 = m.start_offset + kc * period
+        out[(kc >= 0) & (kc < m.n_pulses)
+            & (taus_ns >= t0) & (taus_ns < t0 + m.pulse_width)] = 1.0
     return out
 
 

@@ -11,7 +11,9 @@ S_s * S_as * t_c per bin and second.
 
 Each shard draws its pairs in blocks of _BLOCK from copies of its
 generator advanced to the start of each per-pair run, so the values
-equal those of whole-length draws, and keeps only the detected tags.
+equal those of whole-length draws; a first pass keeps one bit per pair
+and counts the detected tags, and a second writes them straight into
+streams allocated once at their exact size.
 Delays are drawn by inverse CDF through a guide table (Chen & Asau,
 1974) built once per run: one lookup finds the CDF segment of almost
 every uniform, and the delay is np.interp's own formula on that
@@ -44,9 +46,10 @@ from .errors import ValidationError
 from .wavepacket import Wavepacket
 
 # expected tags (pairs plus background singles) one shard may hold, and
-# the most histogram bins; a shard's traced peak is about 13 B per
-# detected tag, and a pair gives at most two, so at most about 25 B per
-# expected tag (1.6e6 lossless pairs: 40 MB), about 1.3 GB at the bound
+# the most histogram bins; a shard's traced peak is about 9 B per
+# detected tag (8 B in its stream, keep bits at 0.25 B per generated
+# pair), and a pair gives at most two, so at most about 18 B per expected
+# tag (1.6e6 lossless pairs: 29 MB), about 0.9 GB at the bound
 MAX_SHARD_TAGS = 50_000_000
 # guide-table cells per CDF node, and pairs (or anti-Stokes tags in the
 # correlation) taken per block
@@ -277,18 +280,22 @@ def _simulate_shard(
     n_bins: int,
     rng: np.random.Generator,
 ) -> CoincidenceHistogram:
-    """One slice of the measurement, drawn and correlated in blocks.
+    """One slice of the measurement, drawn in two passes and correlated in blocks.
 
     The draws follow one fixed order on rng: the pair count, then
     n_pairs uniforms each for the Stokes times, the delays, the Stokes
     keep and the anti-Stokes keep, then the two background counts and
     their times.  rng is a PCG64 Generator, whose random() takes one
     64-bit output per double, so four copies advanced by 0, n, 2n and 3n
-    outputs draw the four per-pair runs side by side, _BLOCK pairs at a
-    time, into reused buffers, with the same values as four whole-length
-    calls.  Each block keeps only its detected tags and maps delays only
-    for the kept anti-Stokes pairs, so memory follows the detected tags
-    rather than the generated pairs.
+    outputs draw the four per-pair runs, _BLOCK pairs at a time, into
+    reused buffers, with the same values as four whole-length calls.
+    The first pass draws the two keep runs into one bit per pair and
+    counts the kept tags.  Each stream is then allocated once at its
+    exact size, with the background times drawn into its tail, and the
+    second pass draws the Stokes times and delays and writes each
+    block's kept tags in place, mapping delays only for the kept
+    anti-Stokes pairs.  No stream is ever held twice, and memory follows
+    the detected tags rather than the generated pairs.
     """
     n_pairs = int(rng.poisson(cfg.pair_rate * cfg.duty_cycle * t_slice))
     forks = []
@@ -298,33 +305,41 @@ def _simulate_shard(
         forks.append(fork)
     rng.bit_generator.advance(4 * n_pairs)
 
-    eff_s = cfg.qe_stokes * cfg.channel_t_stokes
-    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
-    buffers = np.empty((4, min(n_pairs, _BLOCK)))
-    tags_s, tags_as = [], []
+    effs = (cfg.qe_stokes * cfg.channel_t_stokes,
+            cfg.qe_antistokes * cfg.channel_t_antistokes)
+    buffers = np.empty((2, min(n_pairs, _BLOCK)))
+    bits = np.empty((2, (n_pairs + 7) // 8), dtype=np.uint8)
+    n_kept = [0, 0]
     for start in range(0, n_pairs, _BLOCK):
         m = min(_BLOCK, n_pairs - start)
-        t_s, u, keep_s, keep_as = (
-            fork.random(out=buf[:m]) for fork, buf in zip(forks, buffers)
-        )
+        for k in range(2):
+            keep = forks[2 + k].random(out=buffers[k, :m]) < effs[k]
+            n_kept[k] += np.count_nonzero(keep)
+            # _BLOCK is a multiple of 8, so each block starts on a whole byte
+            bits[k, start // 8:(start + m + 7) // 8] = np.packbits(keep)
+
+    n_bg = [int(rng.poisson(rate * t_slice))
+            for rate in (cfg.background_s, cfg.background_as)]
+    stream_s, stream_as = streams = [np.empty(n + b) for n, b in zip(n_kept, n_bg)]
+    for stream, n in zip(streams, n_kept):
+        rng.random(out=stream[n:])
+        stream[n:] *= t_slice
+    ends = [0, 0]
+    for start in range(0, n_pairs, _BLOCK):
+        m = min(_BLOCK, n_pairs - start)
+        t_s, u = (fork.random(out=buf[:m]) for fork, buf in zip(forks, buffers))
         t_s *= t_slice
-        # take on flatnonzero's indices: a boolean index into a random
-        # mask runs several times slower
-        tags_s.append(t_s.take(np.flatnonzero(keep_s < eff_s)))
-        kept = np.flatnonzero(keep_as < eff_as)
+        # take on flatnonzero's indices of a bool view: a boolean index
+        # into a random mask, or flatnonzero on uint8, runs several times slower
+        kept_s, kept = (np.flatnonzero(np.unpackbits(b[start // 8:], count=m).view(bool))
+                        for b in bits)
         t_as = _delays(table, u.take(kept))
         t_as *= 1e-9
         t_as += t_s.take(kept)
-        tags_as.append(t_as)
-
-    n_bg_s = int(rng.poisson(cfg.background_s * t_slice))
-    n_bg_as = int(rng.poisson(cfg.background_as * t_slice))
-    tags_s.append(rng.random(n_bg_s) * t_slice)
-    tags_as.append(rng.random(n_bg_as) * t_slice)
-    stream_s = np.concatenate(tags_s)
-    del tags_s  # each list is freed once its stream is whole
-    stream_as = np.concatenate(tags_as)
-    del tags_as
+        for k, tags in enumerate((t_s.take(kept_s), t_as)):
+            streams[k][ends[k]:ends[k] + len(tags)] = tags
+            ends[k] += len(tags)
+    del bits  # freed before the correlation allocates its own arrays
     stream_s.sort()
     stream_as.sort()
 

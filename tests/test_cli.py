@@ -297,6 +297,13 @@ def test_invalid_physics_exits_2(capsys):
     assert main(["dressed", "--omega-c", "-1.0"]) == 2
 
 
+def test_overflow_exits_3_without_traceback(tmp_path, capsys):
+    assert main(["wavepacket", "--omega-c", "1e200", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_data_file_exits_4(tmp_path, capsys):
     assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 4
 

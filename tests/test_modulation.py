@@ -1,5 +1,7 @@
 """Heralded waveform carving: masks, delays, smoothing, pulse trains."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,42 @@ def test_smooth_edges_matches_lfilter_bitwise():
             _smooth_edges(mask, step, rise),
             lfilter([alpha], [1.0, -(1.0 - alpha)], mask),
         )
+
+
+def _mask_loop(m, taus):
+    # the pulse-by-pulse loop mask_values replaced, kept as its oracle
+    out = np.zeros_like(taus)
+    period = m.pulse_width + m.pulse_separation
+    for k in range(m.n_pulses):
+        t0 = m.start_offset + k * period
+        out[(taus >= t0) & (taus < t0 + m.pulse_width)] = 1.0
+    return out
+
+
+def test_mask_values_match_pulse_loop_on_edges():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        m = ModulationMask(
+            pulse_width=rng.uniform(0.05, 80.0),
+            pulse_separation=0.0 if trial % 4 == 0 else rng.uniform(0.0, 60.0),
+            n_pulses=int(rng.integers(1, 40)),
+            start_offset=rng.uniform(-200.0, 200.0),
+        )
+        period = m.pulse_width + m.pulse_separation
+        ks = np.arange(-2, m.n_pulses + 2)
+        t0 = m.start_offset + ks * period
+        edges = np.concatenate([t0, t0 + m.pulse_width])
+        taus = np.concatenate([
+            rng.uniform(edges.min() - 50.0, edges.max() + 50.0, 500),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        assert np.array_equal(mask_values(m, taus), _mask_loop(m, taus))
+
+
+def test_mask_values_cost_does_not_grow_with_n_pulses():
+    m = ModulationMask(pulse_width=1.0, pulse_separation=0.5, n_pulses=10**8)
+    start = time.perf_counter()
+    vals = mask_values(m, W.taus)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(vals, _mask_loop(
+        ModulationMask(pulse_width=1.0, pulse_separation=0.5, n_pulses=300), W.taus))

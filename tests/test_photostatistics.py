@@ -443,6 +443,13 @@ ORACLE_CASES = {
     "blocks_and_a_part": dict(pair_rate=_pairs_per_second(2.5), background_s=2000.0,
                               background_as=2000.0, rng_seed=8),
     "no_backgrounds": dict(pair_rate=_pairs_per_second(2.5), rng_seed=9),
+    "lossless": dict(pair_rate=_pairs_per_second(1.3), qe_stokes=1.0,
+                     qe_antistokes=1.0, channel_t_stokes=1.0,
+                     channel_t_antistokes=1.0, background_s=500.0, rng_seed=10),
+    "dark": dict(pair_rate=_pairs_per_second(1.3), qe_stokes=0.0, qe_antistokes=0.0,
+                 background_s=1000.0, background_as=800.0, rng_seed=11),
+    "partial_byte": dict(pair_rate=_pairs_per_second(1.3), background_as=300.0,
+                         rng_seed=6),
 }
 
 
@@ -456,6 +463,10 @@ def test_blocked_shard_equals_full_array_shard(case):
     if case in ("blocks_and_a_part", "no_backgrounds"):
         assert n_pairs > 2 * photostatistics._BLOCK
         assert n_pairs % photostatistics._BLOCK
+    if case == "partial_byte":
+        # the keep bits of the last block end inside a byte
+        assert n_pairs > photostatistics._BLOCK
+        assert n_pairs % 8
     n_bins = 400
     got = photostatistics._simulate_shard(
         _delay_table(MODEL), cfg, cfg.measurement_time, n_bins,
@@ -512,4 +523,4 @@ def test_shard_memory_follows_detected_tags():
         tracemalloc.stop()
     tags = h.n_singles_s + h.n_singles_as
     assert tags > 1_500_000
-    assert peak <= 16 * tags
+    assert peak <= 10 * tags
