@@ -237,10 +237,13 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
-    analytic = g2_analytic(cfg.system, grid=cfg.grid)
     omegas, full, _ = _spectra(cfg, [])
-    spectrum = chi3_approx(cfg.system, omegas)
-    numeric = psi_numeric(spectrum, cfg.grid, cfg.system)
+    analytic = g2_analytic(cfg.system, grid=cfg.grid)
+    numeric = psi_numeric(chi3_approx(cfg.system, omegas), cfg.grid, cfg.system)
+    peaks = analytic.g2.max(), numeric.g2.max()
+    if not all(0 < peak < np.inf for peak in peaks):
+        raise NumericalError(f"wavepacket peaks {peaks[0]:g}, {peaks[1]:g} "
+                             "are not positive and finite")
     out = _outdir(cfg)
     axis = ("tau_ns", analytic.taus)
     _write(cfg, out, "wavepacket_analytic.csv", "wavepacket", "analytic",
@@ -249,8 +252,7 @@ def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
            axis, numeric.g2)
     _write(cfg, out, "spectrum_power.csv", "wavepacket", "spectrum",
            ("omega_over_gamma13", omegas), full)
-    a = analytic.g2 / analytic.g2.max()
-    n = numeric.g2 / numeric.g2.max()
+    a, n = analytic.g2 / peaks[0], numeric.g2 / peaks[1]
     print(f"analytic vs numeric max deviation: {np.max(np.abs(a - n)):.3e}")
     print(f"beat_period_ns: {beat_period(cfg.system):.6g}")
     print(f"wrote 3 files in {out}")

@@ -4,32 +4,32 @@ Sections (all optional; physically sensible defaults apply):
 
     system:    gamma12, gamma14, delta_p, delta_c, omega_c, gamma13_mhz
     grid:      tau_max_ns, n_points, tau_min_ns, freq_points
-    filter:    list of {center_gamma13, fwhm_mhz, fsr_ghz, peak_transmission}
-               (center_gamma13 takes a number or "narrow"/"broad")
+    filter:    center_gamma13 (a number, "narrow" or "broad"), fwhm_mhz,
+               fsr_ghz, peak_transmission (one etalon, or a list of them)
     detection: pair_rate, qe_stokes, qe_antistokes, channel_t_stokes,
                channel_t_antistokes, duty_cycle, measurement_time,
                bin_width_ns, background_s, background_as, rng_seed
     fit:       model (two_component|resonant|single_exponential|auto),
                window_ns ([lo, hi])
     mask:      kind, pulse_width_ns, pulse_separation_ns, n_pulses,
-               start_offset_ns (number or "auto"), delay_ns, convention,
+               start_offset_ns (a number or "auto"), delay_ns, convention,
                rise_time_ns, samples
     budget:    detected_rate, factors ([[label, value], ...])
     sweep:     delta_c (list of values)
     output:    directory, timestamps (true|false)
 
-Each default is written once: a key that maps onto a library type
-defaults to that type's field default (filters to the narrowband
-etalon preset of filtering), and the rest are written in their parser
-below; an absent or empty section resolves to them.  Every section is validated
-against its module's invariants before any computation starts; unknown
-keys and values of the wrong shape are rejected to catch typos early.
+Each section is one table from key to (field, parser): _read parses the
+keys a section gives, and the target type's field defaults supply the
+rest (a filter's are the narrowband etalon preset of filtering).  Every
+section is validated against its module's invariants before any
+computation starts; unknown keys and values of the wrong shape are
+rejected to catch typos early.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -55,20 +55,24 @@ DEFAULT_BUDGET_FACTORS = (
     ("duty_cycle", 0.20),
 )
 
+# filter centres named by their dressed mode, resolved on the run's system
+_MODE_CENTERS = {"narrow": narrow_mode_center,
+                 "broad": lambda p: dressed_modes(p).broad_detuning}
+
 
 @dataclass
 class MaskSettings:
-    mask: ModulationMask
-    start_auto: bool
-    delay_ns: float
-    convention: str
-    rise_time_ns: float
+    mask: ModulationMask = field(default_factory=ModulationMask)
+    start_auto: bool = False
+    delay_ns: float = 0.0
+    convention: str = "intensity"
+    rise_time_ns: float = 0.0
 
 
 @dataclass
 class FitSettings:
-    model: FitModel | None  # None means pick from the data
-    window_ns: tuple[float, float] | None
+    model: FitModel | None = field(default_factory=FitModel)  # None: pick from the data
+    window_ns: tuple[float, float] | None = None
 
 
 @dataclass
@@ -81,8 +85,8 @@ class BudgetSettings:
 
 @dataclass
 class OutputSettings:
-    directory: str
-    timestamps: bool
+    directory: str = "out"
+    timestamps: bool = False
 
 
 @dataclass
@@ -95,23 +99,23 @@ class RunConfig:
     fit: FitSettings
     mask: MaskSettings
     budget: BudgetSettings
-    sweep_delta_c: list
-    output: OutputSettings
-    echo: dict
+    sweep_delta_c: list = field(default_factory=lambda: [0.0, 16.7, 28.3, 45.0])
+    output: OutputSettings = field(default_factory=OutputSettings)
+    echo: dict = field(default_factory=dict)
 
 
-def _section(name: str, given, allowed: set) -> dict:
-    """The section's mapping ({} when absent or empty), keys checked."""
+def _read(name: str, given, table: dict) -> dict:
+    """{field: parse(name, key, value)} for each key the section gives;
+    {} when it is absent or empty, and an error for a key not in table."""
     if given is None:
         return {}
     if not isinstance(given, dict):
         raise ValidationError(f"[{name}] must be a mapping of keys to values")
-    unknown = set(given) - allowed
+    unknown = ", ".join(sorted(given.keys() - table.keys()))
     if unknown:
-        raise ValidationError(
-            f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
-        )
-    return given
+        raise ValidationError(f"unknown key(s) in [{name}]: {unknown}")
+    return {table[key][0]: table[key][1](name, key, value)
+            for key, value in given.items()}
 
 
 def _num(section: str, key: str, value) -> float:
@@ -134,7 +138,10 @@ def _nonneg(section: str, key: str, value) -> float:
     return number
 
 
-def _numbers(section: str, key: str, values) -> list[float]:
+def _numbers(section: str, key: str, values) -> list[float] | None:
+    """A list of numbers; null stays None, the field's default."""
+    if values is None:
+        return None
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"[{section}] {key} must be a list of numbers")
     return [_num(section, key, v) for v in values]
@@ -144,214 +151,166 @@ def _intval(section: str, key: str, value) -> int:
     """An int, or a float or numeric string with an integral value."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    try:
-        number = _num(section, key, value)
-    except ValidationError:
-        number = math.nan
+    number = _num(section, key, value) if isinstance(value, (float, str)) else math.nan
     if not number.is_integer():
         raise ValidationError(f"[{section}] {key} must be an integer")
     return int(number)
 
 
-def _system_from(d) -> SystemParams:
-    d = _section(
-        "system", d,
-        {"gamma12", "gamma14", "delta_p", "delta_c", "omega_c", "gamma13_mhz"},
-    )
-    kwargs = {k: _num("system", k, v) for k, v in d.items() if k != "gamma13_mhz"}
-    if "gamma13_mhz" in d:
-        kwargs["si_gamma13"] = (
-            2.0 * math.pi * _num("system", "gamma13_mhz", d["gamma13_mhz"]) * 1e6
-        )
-    return SystemParams(**kwargs)
+def _one_of(*names, number: bool = False):
+    """The parser of one of names, kept as written, or of a number too."""
+    need = ("a number or " if number else "") + " or ".join(names)
+
+    def parse(section: str, key: str, value):
+        if number and not isinstance(value, str):
+            return _num(section, key, value)
+        if value not in names:
+            raise ValidationError(f"[{section}] {key} must be {need}")
+        return value
+    return parse
 
 
-def _grid_from(d) -> tuple[TimeGridConfig, int | None]:
-    d = _section("grid", d, {"tau_max_ns", "n_points", "tau_min_ns", "freq_points"})
-    grid = TimeGridConfig(
-        tau_max=_num("grid", "tau_max_ns", d.get("tau_max_ns", TimeGridConfig.tau_max)),
-        n_points=_intval("grid", "n_points", d.get("n_points", TimeGridConfig.n_points)),
-        tau_min=_num("grid", "tau_min_ns", d.get("tau_min_ns", TimeGridConfig.tau_min)),
-    )
-    freq_points = (
-        _intval("grid", "freq_points", d["freq_points"])
-        if "freq_points" in d else None
-    )
-    return grid, freq_points
+def _window(section: str, key: str, value) -> tuple[float, float] | None:
+    """[lo, hi] in ns with lo < hi; null fits every bin."""
+    window = _numbers(section, key, value)
+    if window is not None and (len(window) != 2 or not window[0] < window[1]):
+        raise ValidationError(f"[{section}] {key} must be [lo, hi] with lo < hi")
+    return None if window is None else tuple(window)
 
 
-def _filters_from(entries, p: SystemParams) -> list[EtalonFilter]:
-    if entries is None:
-        return []
-    if isinstance(entries, dict):
-        entries = [entries]
-    if not isinstance(entries, list):
-        raise ValidationError("[filter] must be one etalon or a list of them")
-    return [_filter_from(e, p) for e in entries]
+def _factors(section: str, key: str, value) -> LossBudget:
+    """[[label, value], ...] in chain order; null keeps the default chain."""
+    if value is None:
+        return LossBudget(DEFAULT_BUDGET_FACTORS)
+    try:
+        pairs = tuple((str(label), _num(section, str(label), v)) for label, v in value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"[{section}] {key} must be a list of "
+                              "[label, value] pairs") from exc
+    return LossBudget(pairs)
 
 
-def _filter_from(d, p: SystemParams) -> EtalonFilter:
-    d = _section(
-        "filter", d, {"center_gamma13", "fwhm_mhz", "fsr_ghz", "peak_transmission"}
-    )
-    center = d.get("center_gamma13", "narrow")
-    if isinstance(center, str):
-        if center == "narrow":
-            center_val = narrow_mode_center(p)
-        elif center == "broad":
-            center_val = dressed_modes(p).broad_detuning
-        else:
-            raise ValidationError(
-                "center_gamma13 must be a number, 'narrow', or 'broad'"
-            )
-    else:
-        center_val = _num("filter", "center_gamma13", center)
-    return EtalonFilter(
-        center=center_val,
-        fwhm=mhz_to_gamma13(
-            _num("filter", "fwhm_mhz", d.get("fwhm_mhz", NARROWBAND_FWHM_MHZ)), p
-        ),
-        fsr=mhz_to_gamma13(
-            _num("filter", "fsr_ghz", d.get("fsr_ghz", NARROWBAND_FSR_GHZ)) * 1000.0, p
-        ),
-        peak_transmission=_num(
-            "filter", "peak_transmission", d.get("peak_transmission", NARROWBAND_PEAK)
-        ),
-    )
-
-
-def _detection_from(d) -> DetectionConfig:
-    d = _section(
-        "detection", d,
-        {"pair_rate", "qe_stokes", "qe_antistokes", "channel_t_stokes",
-         "channel_t_antistokes", "duty_cycle", "measurement_time",
-         "bin_width_ns", "background_s", "background_as", "rng_seed"},
-    )
-    kwargs = {
-        k: _num("detection", k, v) for k, v in d.items() if k != "rng_seed"
-    }
-    if "bin_width_ns" in kwargs:
-        kwargs["bin_width"] = kwargs.pop("bin_width_ns")
-    if "rng_seed" in d:
-        kwargs["rng_seed"] = _intval("detection", "rng_seed", d["rng_seed"])
-    return DetectionConfig(**kwargs)
-
-
-def _fit_from(d) -> FitSettings:
-    d = _section("fit", d, {"model", "window_ns"})
-    name = d.get("model", FitModel.which)
-    model = None if name == "auto" else FitModel(name)
-    window = d.get("window_ns")
-    if window is not None:
-        try:
-            lo, hi = (_num("fit", "window_ns", v) for v in window)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("fit window_ns must be [lo, hi]") from exc
-        if not lo < hi:
-            raise ValidationError("fit window_ns must satisfy lo < hi")
-        window = (lo, hi)
-    return FitSettings(model=model, window_ns=window)
-
-
-def _mask_from(d) -> MaskSettings:
-    d = _section(
-        "mask", d,
-        {"kind", "pulse_width_ns", "pulse_separation_ns", "n_pulses",
-         "start_offset_ns", "delay_ns", "convention", "rise_time_ns", "samples"},
-    )
-    start = d.get("start_offset_ns", ModulationMask.start_offset)
-    start_auto = isinstance(start, str)
-    if start_auto and start != "auto":
-        raise ValidationError("start_offset_ns must be a number or 'auto'")
-    samples = d.get("samples")
-    mask = ModulationMask(
-        kind=d.get("kind", ModulationMask.kind),
-        pulse_width=_num(
-            "mask", "pulse_width_ns", d.get("pulse_width_ns", ModulationMask.pulse_width)
-        ),
-        pulse_separation=_num(
-            "mask", "pulse_separation_ns",
-            d.get("pulse_separation_ns", ModulationMask.pulse_separation),
-        ),
-        n_pulses=_intval("mask", "n_pulses", d.get("n_pulses", ModulationMask.n_pulses)),
-        start_offset=0.0 if start_auto else _num("mask", "start_offset_ns", start),
-        samples=None if samples is None else _numbers("mask", "samples", samples),
-    )
-    convention = d.get("convention", "intensity")
-    if convention not in ("intensity", "amplitude"):
-        raise ValidationError("mask convention must be intensity or amplitude")
-    return MaskSettings(
-        mask=mask,
-        start_auto=start_auto,
-        delay_ns=_nonneg("mask", "delay_ns", d.get("delay_ns", 0.0)),
-        convention=convention,
-        rise_time_ns=_nonneg("mask", "rise_time_ns", d.get("rise_time_ns", 0.0)),
-    )
-
-
-def _budget_from(d) -> BudgetSettings:
-    d = _section("budget", d, {"detected_rate", "factors"})
-    kwargs = {}
-    if "detected_rate" in d:
-        kwargs["detected_rate"] = _nonneg("budget", "detected_rate", d["detected_rate"])
-    factors = d.get("factors")
-    if factors is not None:
-        try:
-            pairs = tuple(
-                (str(label), _num("budget", str(label), v)) for label, v in factors
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                "budget factors must be a list of [label, value] pairs"
-            ) from exc
-        kwargs["budget"] = LossBudget(pairs)
-    return BudgetSettings(**kwargs)
-
-
-def _sweep_from(d) -> list[float]:
-    d = _section("sweep", d, {"delta_c"})
-    values = _numbers("sweep", "delta_c", d.get("delta_c", [0.0, 16.7, 28.3, 45.0]))
+def _nonempty(section: str, key: str, value) -> list[float]:
+    values = _numbers(section, key, value)
     if not values:
-        raise ValidationError("[sweep] delta_c needs at least one value")
+        raise ValidationError(f"[{section}] {key} needs at least one value")
     return values
 
 
-def _output_from(d) -> OutputSettings:
-    d = _section("output", d, {"directory", "timestamps"})
-    timestamps = d.get("timestamps", False)
-    if not isinstance(timestamps, bool):
-        raise ValidationError("[output] timestamps must be true or false")
-    return OutputSettings(
-        directory=str(d.get("directory", "out")),
-        timestamps=timestamps,
-    )
+def _flag(section: str, key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"[{section}] {key} must be true or false")
+    return value
+
+
+def _same(parse, *keys) -> dict:
+    """Table rows for keys that set the field of their own name."""
+    return {key: (key, parse) for key in keys}
+
+
+# section -> {key: (field, parse)}; one post-read step each resolves the
+# filter's fields (_etalons) and splits the mask's (_mask)
+_TABLES = {
+    "system": {
+        **_same(_num, "gamma12", "gamma14", "delta_p", "delta_c", "omega_c"),
+        "gamma13_mhz": (
+            "si_gamma13", lambda s, k, v: 2.0 * math.pi * _num(s, k, v) * 1e6
+        ),
+    },
+    "grid": {
+        "tau_max_ns": ("tau_max", _num),
+        "tau_min_ns": ("tau_min", _num),
+        **_same(_intval, "n_points", "freq_points"),
+    },
+    "filter": {
+        "center_gamma13": ("center", _one_of(*_MODE_CENTERS, number=True)),
+        "fwhm_mhz": ("fwhm", _num),
+        "fsr_ghz": ("fsr", _num),
+        **_same(_num, "peak_transmission"),
+    },
+    "detection": {
+        **_same(_num, "pair_rate", "qe_stokes", "qe_antistokes",
+                "channel_t_stokes", "channel_t_antistokes", "duty_cycle",
+                "measurement_time", "background_s", "background_as"),
+        "bin_width_ns": ("bin_width", _num),
+        **_same(_intval, "rng_seed"),
+    },
+    "fit": {**_same(lambda s, k, v: None if v == "auto" else FitModel(v), "model"),
+            **_same(_window, "window_ns")},
+    "mask": {
+        **_same(lambda s, k, v: v, "kind"),
+        "pulse_width_ns": ("pulse_width", _num),
+        "pulse_separation_ns": ("pulse_separation", _num),
+        **_same(_intval, "n_pulses"),
+        "start_offset_ns": ("start_offset", _one_of("auto", number=True)),
+        **_same(_numbers, "samples"),
+        **_same(_nonneg, "delay_ns", "rise_time_ns"),
+        **_same(_one_of("intensity", "amplitude"), "convention"),
+    },
+    "budget": {**_same(_nonneg, "detected_rate"), "factors": ("budget", _factors)},
+    "sweep": {"delta_c": ("sweep_delta_c", _nonempty)},
+    "output": {
+        **_same(lambda s, k, v: str(v), "directory"),
+        **_same(_flag, "timestamps"),
+    },
+}
+
+
+def _etalons(entries, p: SystemParams) -> list[EtalonFilter]:
+    """The filter section, one etalon or a list of them; a centre named
+    by its dressed mode follows p, and MHz and GHz become gamma13 units."""
+    if entries is None:
+        return []
+    entries = [entries] if isinstance(entries, dict) else entries
+    if not isinstance(entries, list):
+        raise ValidationError("[filter] must be one etalon or a list of them")
+    etalons = []
+    for entry in entries:
+        f = {"center": "narrow", "fwhm": NARROWBAND_FWHM_MHZ,
+             "fsr": NARROWBAND_FSR_GHZ, "peak_transmission": NARROWBAND_PEAK,
+             **_read("filter", entry, _TABLES["filter"])}
+        if isinstance(f["center"], str):
+            f["center"] = _MODE_CENTERS[f["center"]](p)
+        f["fwhm"] = mhz_to_gamma13(f["fwhm"], p)
+        f["fsr"] = mhz_to_gamma13(f["fsr"] * 1000.0, p)
+        etalons.append(EtalonFilter(**f))
+    return etalons
+
+
+def _mask(read: dict) -> MaskSettings:
+    """The mask section split into the pulse shape and its settings; an
+    "auto" start keeps the shape's start_offset and sets start_auto."""
+    start_auto = read.get("start_offset") == "auto"
+    if start_auto:
+        del read["start_offset"]
+    shape = {f.name: read.pop(f.name) for f in fields(ModulationMask)
+             if f.name in read}
+    return MaskSettings(mask=ModulationMask(**shape), start_auto=start_auto, **read)
 
 
 def config_from_dict(raw) -> RunConfig:
-    """Build and validate a RunConfig from parsed YAML.
+    """Build and validate a RunConfig from parsed YAML: the one place a
+    run is resolved.  Every section, present or not, goes through _read,
+    and filters centred by mode name follow the resolved system."""
+    raw = _read("config", raw, _same(lambda s, k, v: v, *_TABLES))
 
-    The one place a run is resolved: every section, present or not,
-    goes through its parser, and filters centred by mode name follow
-    the resolved system.  echo keeps raw as given.
-    """
-    raw = _section(
-        "config", raw,
-        {"system", "grid", "filter", "detection", "fit", "mask", "budget",
-         "sweep", "output"},
-    )
-    system = _system_from(raw.get("system"))
-    grid, freq_points = _grid_from(raw.get("grid"))
+    def read(name: str) -> dict:
+        return _read(name, raw.get(name), _TABLES[name])
+
+    system = SystemParams(**read("system"))
+    grid = read("grid")
+    freq_points = grid.pop("freq_points", None)
     return RunConfig(
         system=system,
-        grid=grid,
+        grid=TimeGridConfig(**grid),
         freq_points=freq_points,
-        filters=_filters_from(raw.get("filter"), system),
-        detection=_detection_from(raw.get("detection")),
-        fit=_fit_from(raw.get("fit")),
-        mask=_mask_from(raw.get("mask")),
-        budget=_budget_from(raw.get("budget")),
-        sweep_delta_c=_sweep_from(raw.get("sweep")),
-        output=_output_from(raw.get("output")),
+        filters=_etalons(raw.get("filter"), system),
+        detection=DetectionConfig(**read("detection")),
+        fit=FitSettings(**read("fit")),
+        mask=_mask(read("mask")),
+        budget=BudgetSettings(**read("budget")),
+        **read("sweep"),
+        output=OutputSettings(**read("output")),
         echo=raw,
     )
 

@@ -18,7 +18,8 @@ into a pulse train at the beat period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +48,10 @@ class ModulationMask:
     samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("kind", "samples") and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite")
         if self.kind not in MASK_KINDS:
             raise ValidationError(f"unknown mask kind {self.kind!r}")
         if not (self.pulse_width > 0):
@@ -57,7 +62,8 @@ class ModulationMask:
             raise ValidationError("n_pulses must be >= 1")
         if self.samples is not None:
             s = np.asarray(self.samples, dtype=float)
-            if s.ndim != 1 or np.any(s < 0) or np.any(s > 1):
+            # NaN fails both comparisons, so it is refused with the rest
+            if s.ndim != 1 or not np.all((s >= 0) & (s <= 1)):
                 raise ValidationError("samples must be a 1-d array within [0, 1]")
         if self.kind == "custom_samples" and self.samples is None:
             raise ValidationError("custom_samples mask needs a samples array")

@@ -25,6 +25,11 @@ from .errors import ValidationError
 from .params import DressedModes, SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
+# the most points of a time or frequency grid: the wavepacket command's
+# peak RSS grows by about 260 B per time point (99 MB at 2.5e5 points,
+# 291 MB at 1e6), so a grid at the bound stays within about the 0.9 GB
+# that MAX_SHARD_TAGS allows a Monte Carlo shard
+MAX_GRID_POINTS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,10 @@ def default_frequency_grid(p: SystemParams, n_points: int | None = None) -> np.n
     d = dressed_modes(p)
     if n_points is None:
         n_points = DEFAULT_N_POINTS
-    if n_points < 2:
-        raise ValidationError("frequency grid needs at least 2 points")
+    if not 2 <= n_points <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"frequency grid needs 2 to MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points"
+        )
     center = 0.5 * p.delta_c
     gmax = max(d.gamma_plus, d.gamma_minus)
     half_span = max(40.0 * gmax, 4.0 * d.omega_e)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .params import SystemParams, dressed_modes
-from .susceptibility import ComplexSpectrum, approx_poles
+from .susceptibility import MAX_GRID_POINTS, ComplexSpectrum, approx_poles
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,10 @@ class TimeGridConfig:
         for name in ("tau_min", "tau_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if self.n_points < 16:
-            raise ValidationError("time grid needs at least 16 points")
+        if not 16 <= self.n_points <= MAX_GRID_POINTS:
+            raise ValidationError(
+                f"time grid needs 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points"
+            )
         if not (self.tau_max > self.tau_min):
             raise ValidationError("tau_max must exceed tau_min")
         if not (self.tau_max > 0):

@@ -1,6 +1,7 @@
 """Command-line front end: every subcommand, exit codes, reproducibility."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,28 @@ def test_oversized_bin_count_exits_2(tmp_path, capsys):
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "above MAX_SHARD_TAGS" in capsys.readouterr().err
     assert not (tmp_path / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavepacket", "--n-points", "100000000"],
+    ["filter", "--n-points", "100000000"],
+    ["spectrum", "--config", "grid: {freq_points: 100000000}"],
+])
+def test_oversized_grid_exits_2_before_allocating(argv, tmp_path, capsys):
+    if "--config" in argv:
+        argv = [*argv[:-1], _write_config(tmp_path, argv[-1] + "\n")]
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "MAX_GRID_POINTS" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_zero_peak_wavepacket_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "system: {gamma13_mhz: 1.0e-300}\n")
+    assert main(["wavepacket", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "peak" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_invalid_physics_exits_2(capsys):

@@ -1,9 +1,13 @@
 """YAML run configuration: defaults, validation, and unit mapping."""
 
+import dataclasses
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
 
 from biphoton import (
     DetectionConfig,
@@ -14,7 +18,8 @@ from biphoton import (
     dressed_modes,
     narrowband_etalon,
 )
-from biphoton.cli import main
+from biphoton import config
+from biphoton.cli import FLAG_KEYS, main
 from biphoton.config import config_from_dict, load_config
 from biphoton.filtering import narrow_mode_center
 
@@ -217,6 +222,10 @@ def test_malformed_yaml_raises(tmp_path):
     "budget: {detected_rate: .nan}",
     "budget: {detected_rate: .inf}",
     "fit: {fixed_t0_ns: 0.0}",
+    "mask: {pulse_width_ns: .inf}",
+    "mask: {pulse_separation_ns: .nan}",
+    "mask: {start_offset_ns: .nan}",
+    "mask: {samples: [.nan]}",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
@@ -231,3 +240,119 @@ def test_integral_float_and_numeric_string_accepted_as_integers():
                             "detection": {"rng_seed": "7.0e1"}})
     assert cfg.grid.n_points == 2000 and isinstance(cfg.grid.n_points, int)
     assert cfg.detection.rng_seed == 70
+
+
+def _doc_keys() -> list[tuple[str, str]]:
+    """(section, key) for each key the config module docstring lists."""
+    keys = []
+    for section, text in re.findall(r"^    (\w+):(.*(?:\n {8,}\S.*)*)",
+                                    config.__doc__, re.M):
+        text = re.sub(r"\([^)]*\)", "", text)
+        keys += [(section, key.strip()) for key in text.split(",")]
+    return keys
+
+
+# (section, key) -> (a valid non-default value, the one RunConfig leaf it
+# sets, that leaf's value[, the section's other keys in both configs])
+KEY_CASES = {
+    ("system", "gamma12"): (0.05, "system.gamma12", 0.05),
+    ("system", "gamma14"): (2.0, "system.gamma14", 2.0),
+    ("system", "delta_p"): (-10.0, "system.delta_p", -10.0),
+    ("system", "delta_c"): (28.3, "system.delta_c", 28.3),
+    ("system", "omega_c"): (10.0, "system.omega_c", 10.0),
+    ("system", "gamma13_mhz"): (6.0, "system.si_gamma13", 2 * math.pi * 6e6),
+    ("grid", "tau_max_ns"): (500.0, "grid.tau_max", 500.0),
+    ("grid", "n_points"): (1000, "grid.n_points", 1000),
+    ("grid", "tau_min_ns"): (-10.0, "grid.tau_min", -10.0),
+    ("grid", "freq_points"): (4096, "freq_points", 4096),
+    ("filter", "center_gamma13"): (
+        "broad", "filters.0.center", dressed_modes(SystemParams()).broad_detuning
+    ),
+    ("filter", "fwhm_mhz"): (30.0, "filters.0.fwhm", 10.0),
+    ("filter", "fsr_ghz"): (30.0, "filters.0.fsr", 10000.0),
+    ("filter", "peak_transmission"): (0.5, "filters.0.peak_transmission", 0.5),
+    ("detection", "pair_rate"): (2.0e4, "detection.pair_rate", 2.0e4),
+    ("detection", "qe_stokes"): (0.5, "detection.qe_stokes", 0.5),
+    ("detection", "qe_antistokes"): (0.4, "detection.qe_antistokes", 0.4),
+    ("detection", "channel_t_stokes"): (0.3, "detection.channel_t_stokes", 0.3),
+    ("detection", "channel_t_antistokes"): (
+        0.7, "detection.channel_t_antistokes", 0.7
+    ),
+    ("detection", "duty_cycle"): (0.9, "detection.duty_cycle", 0.9),
+    ("detection", "measurement_time"): (100.0, "detection.measurement_time", 100.0),
+    ("detection", "bin_width_ns"): (2.0, "detection.bin_width", 2.0),
+    ("detection", "background_s"): (50.0, "detection.background_s", 50.0),
+    ("detection", "background_as"): (60.0, "detection.background_as", 60.0),
+    ("detection", "rng_seed"): (7, "detection.rng_seed", 7),
+    ("fit", "model"): ("resonant", "fit.model.which", "resonant"),
+    ("fit", "window_ns"): ([0.0, 350.0], "fit.window_ns", (0.0, 350.0)),
+    ("mask", "kind"): (
+        "custom_samples", "mask.mask.kind", "custom_samples", {"samples": [0.5]}
+    ),
+    ("mask", "pulse_width_ns"): (40.0, "mask.mask.pulse_width", 40.0),
+    ("mask", "pulse_separation_ns"): (30.0, "mask.mask.pulse_separation", 30.0),
+    ("mask", "n_pulses"): (3, "mask.mask.n_pulses", 3),
+    ("mask", "start_offset_ns"): (20.0, "mask.mask.start_offset", 20.0),
+    ("mask", "delay_ns"): (5.0, "mask.delay_ns", 5.0),
+    ("mask", "convention"): ("amplitude", "mask.convention", "amplitude"),
+    ("mask", "rise_time_ns"): (2.0, "mask.rise_time_ns", 2.0),
+    ("mask", "samples"): ([0.5, 1.0], "mask.mask.samples", [0.5, 1.0]),
+    ("budget", "detected_rate"): (3.0, "budget.detected_rate", 3.0),
+    ("budget", "factors"): ([["qe", 0.5]], "budget.budget.factors", (("qe", 0.5),)),
+    ("sweep", "delta_c"): ([1.0, 2.0], "sweep_delta_c", [1.0, 2.0]),
+    ("output", "directory"): ("results", "output.directory", "results"),
+    ("output", "timestamps"): (True, "output.timestamps", True),
+}
+
+
+def _leaves(obj, path: str = "") -> dict:
+    """Every value of a resolved config by dotted path, through its
+    dataclasses and lists of them; echo, the raw mapping, is left out."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                 if f.name != "echo"]
+    elif isinstance(obj, list) and obj and all(map(dataclasses.is_dataclass, obj)):
+        items = list(enumerate(obj))
+    else:
+        return {path: obj}
+    out = {}
+    for name, value in items:
+        out.update(_leaves(value, f"{path}.{name}" if path else str(name)))
+    return out
+
+
+@pytest.mark.parametrize("section,key", _doc_keys(),
+                         ids=[f"{s}.{k}" for s, k in _doc_keys()])
+def test_every_key_reaches_its_field(section, key):
+    value, leaf, expected, *rest = KEY_CASES[section, key]
+    base = rest[0] if rest else {}
+
+    def resolve(entries):
+        return _leaves(config_from_dict(
+            {section: [entries] if section == "filter" else entries}
+        ))
+
+    before, after = resolve(base), resolve({**base, key: value})
+    changed = {p for p in before.keys() | after.keys()
+               if before.get(p) != after.get(p)}
+    assert changed == {leaf}
+    assert after[leaf] == (pytest.approx(expected)
+                           if isinstance(expected, float) else expected)
+
+
+def _readme_config() -> dict:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Configuration file")[1]
+    return yaml.safe_load(block.split("```yaml\n")[1].split("```")[0])
+
+
+def test_docs_and_reader_tables_name_the_same_keys():
+    raw = _readme_config()
+    readme = {(section, key) for section, body in raw.items()
+              for entry in (body if isinstance(body, list) else [body])
+              for key in entry}
+    tables = {(section, key) for section, table in config._TABLES.items()
+              for key in table}
+    assert readme == set(_doc_keys()) == tables == set(KEY_CASES)
+    assert set(FLAG_KEYS.values()) <= tables
+    config_from_dict(raw)  # the README example is itself a valid config
