@@ -178,9 +178,16 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
 
 def _write(cfg: RunConfig, out: Path, name: str, command: str, curve: str,
            axis: tuple[str, np.ndarray], values) -> None:
-    """Write `values` against `axis`, a (column name, samples) pair."""
-    write_csv(out / name, dict([axis, ("value", values)]),
-              _meta(cfg, command, curve=curve), cfg.output.timestamps)
+    """Write `values` against `axis`, a (column name, samples) pair;
+    NumericalError, before anything is written, if a sample is not finite."""
+    columns = dict([axis, ("value", values)])
+    for column, samples in columns.items():
+        bad = np.count_nonzero(~np.isfinite(samples))
+        if bad:
+            raise NumericalError(f"{name}: {bad} of {len(samples)} {column} "
+                                 "samples are not finite")
+    write_csv(out / name, columns, _meta(cfg, command, curve=curve),
+              cfg.output.timestamps)
 
 
 def _print_lines(pairs) -> None:

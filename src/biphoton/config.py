@@ -158,16 +158,27 @@ def _intval(section: str, key: str, value) -> int:
 
 
 def _one_of(*names, number: bool = False):
-    """The parser of one of names, kept as written, or of a number too."""
+    """The parser of one of names, kept as written, or of a number too;
+    a name is matched first, so "4.0e1" reads as the number 40."""
     need = ("a number or " if number else "") + " or ".join(names)
 
     def parse(section: str, key: str, value):
-        if number and not isinstance(value, str):
-            return _num(section, key, value)
-        if value not in names:
-            raise ValidationError(f"[{section}] {key} must be {need}")
-        return value
+        if value in names:
+            return value
+        if number:
+            try:
+                return _num(section, key, value)
+            except ValidationError:
+                pass
+        raise ValidationError(f"[{section}] {key} must be {need}")
     return parse
+
+
+def _directory(section: str, key: str, value) -> str:
+    """A directory name; YAML may read one as a number, but not as null."""
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ValidationError(f"[{section}] {key} must be a directory name")
+    return str(value)
 
 
 def _window(section: str, key: str, value) -> tuple[float, float] | None:
@@ -250,7 +261,7 @@ _TABLES = {
     "budget": {**_same(_nonneg, "detected_rate"), "factors": ("budget", _factors)},
     "sweep": {"delta_c": ("sweep_delta_c", _nonempty)},
     "output": {
-        **_same(lambda s, k, v: str(v), "directory"),
+        **_same(_directory, "directory"),
         **_same(_flag, "timestamps"),
     },
 }

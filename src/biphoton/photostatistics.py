@@ -9,20 +9,12 @@ a histogram bin of width t_c.  True pairs and accidentals therefore
 emerge from one mechanism, and the flat accidental floor obeys
 S_s * S_as * t_c per bin and second.
 
-Each shard draws its pairs in blocks of _BLOCK from copies of its
-generator advanced to the start of each per-pair run, so the values
-equal those of whole-length draws; a first pass keeps one bit per pair
-and counts the detected tags, and a second writes them straight into
-streams allocated once at their exact size.
-Delays are drawn by inverse CDF through a guide table (Chen & Asau,
-1974) built once per run: one lookup finds the CDF segment of almost
-every uniform, and the delay is np.interp's own formula on that
-segment, so the draws are bit-identical to np.interp(u, cdf, taus) on
-the same uniforms.  The correlation takes the anti-Stokes tags a block
-at a time, finds the last Stokes tag before each by one stable sort
-with the Stokes tags the block spans, and walks back from there, pair
-by pair, over only the tags that still have a partner in the window.
-Memory therefore follows the detected tags, not the generated pairs.
+Each shard draws its pairs in blocks of _BLOCK on the random stream of
+whole-length draws, and writes the detected tags into one key array of
+their exact size, sorted once to merge both arms (see _simulate_shard
+and _correlate).  Delays are drawn by inverse CDF through a guide table
+(Chen & Asau, 1974), bit-identical to np.interp(u, cdf, taus) on the
+same uniforms.  Memory follows the detected tags, not the pairs.
 A shard expected to hold more than MAX_SHARD_TAGS tags, or a histogram
 of more than MAX_SHARD_TAGS bins, is refused before anything is drawn.
 
@@ -46,13 +38,11 @@ from .errors import ValidationError
 from .wavepacket import Wavepacket
 
 # expected tags (pairs plus background singles) one shard may hold, and
-# the most histogram bins; a shard's traced peak is about 9 B per
-# detected tag (8 B in its stream, keep bits at 0.25 B per generated
-# pair), and a pair gives at most two, so at most about 18 B per expected
-# tag (1.6e6 lossless pairs: 29 MB), about 0.9 GB at the bound
+# the most histogram bins; a shard's traced peak is 8.4-8.9 B per detected
+# tag (8 B key, keep bits at 0.25 B per pair, 0.5 MB of decode buffers),
+# and a pair gives at most two: about 18 B per expected tag, 0.9 GB at most
 MAX_SHARD_TAGS = 50_000_000
-# guide-table cells per CDF node, and pairs (or anti-Stokes tags in the
-# correlation) taken per block
+# guide-table cells per CDF node, and pairs taken per block
 _GUIDE_CELLS_PER_NODE = 32
 _BLOCK = 1 << 14
 
@@ -224,63 +214,63 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _correlate(
-    stream_s: np.ndarray,
-    stream_as: np.ndarray,
-    window: float,
-    n_bins: int,
-    bin_width: float,
-) -> np.ndarray:
+def _add_pairs(counts: np.ndarray, t_as: np.ndarray, t_s: np.ndarray,
+               bin_width: float) -> None:
+    """Add each pair's bin, from its times in s and bin_width in ns, to counts."""
+    idx = ((t_as - t_s) * 1e9 / bin_width).astype(np.int64)
+    np.clip(idx, 0, len(counts) - 1, out=idx)
+    counts += np.bincount(idx, minlength=len(counts))
+
+
+def _correlate(keys: np.ndarray, window: float, n_bins: int,
+               bin_width: float) -> np.ndarray:
     """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
 
-    Both streams are sorted, in s; window is in s and bin_width in ns.
-    The anti-Stokes tags are taken _BLOCK at a time.  Stokes tags up to
-    the block's first tag precede all of it and those after its last
-    follow it, so one stable sort of the block with the Stokes tags in
-    between places each block tag right after the last Stokes tag at or
-    before it; this merge of two sorted runs is faster than a binary
-    search per tag.  The walk then steps every still-active tag one
-    Stokes tag further back, collecting each pair's bin, until the
-    Stokes tag falls at or before t_as - window.  Each pass costs only
-    the tags still active, most tags have 0-2 partners, and one bincount
-    per block adds the pairs to the histogram.
+    keys: both arms' sorted tags, each time (s) as its float64 bits
+    shifted left by one, low bit 1 for anti-Stokes, so a Stokes tag comes
+    first at equal times; bin_width in ns.  A scan, 2*_BLOCK keys at a
+    time, pairs each anti-Stokes tag with its predecessor if that is a
+    Stokes tag within the window.  Only tags whose predecessor's own
+    predecessor lies in the predecessor's window walk further back, all
+    together after the scan.  Pairs are tested and binned by the same
+    float expressions as a search over two sorted streams.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
-    for start in range(0, len(stream_as), _BLOCK):
-        block = stream_as[start:start + _BLOCK]
-        lo, hi = np.searchsorted(stream_s, block[[0, -1]], side="right")
-        order = np.argsort(np.concatenate([stream_s[lo:hi], block]), kind="stable")
-        # block tag k, at sorted position p, follows lo + p - k Stokes tags
-        s_idx = np.flatnonzero(order >= hi - lo)
-        s_idx += lo - 1 - np.arange(len(block))
-        as_idx = np.flatnonzero(s_idx >= 0)
-        s_idx = s_idx[as_idx]
-        bins = [np.zeros(0, dtype=np.int64)]
-        while as_idx.size:
-            t_as = block[as_idx]
-            t_s = stream_s[s_idx]
-            near = np.flatnonzero(t_s > t_as - window)
-            as_idx, s_idx = as_idx[near], s_idx[near]
-            diffs_ns = (t_as[near] - t_s[near]) * 1e9
-            bins.append((diffs_ns / bin_width).astype(np.int64))
-            s_idx -= 1
-            more = s_idx >= 0
-            as_idx, s_idx = as_idx[more], s_idx[more]
-        idx = np.concatenate(bins)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        found = np.bincount(idx)
-        counts[:len(found)] += found
+    chunk = 2 * _BLOCK
+    buf = np.empty((2, min(len(keys), chunk + 1)))
+    walks = []  # as ints: numpy caches small arrays, see _simulate_shard
+    for start in range(0, len(keys), chunk):
+        lo = max(start - 1, 0)
+        part = keys[lo:start + chunk]
+        t, lim = buf[:, :len(part)]
+        np.right_shift(part, 1, out=t.view(np.uint64))
+        np.subtract(t, window, out=lim)
+        # close[p]: tag p + 1 of the part has its predecessor p in the window
+        close = t[:-1] > lim[1:]
+        p = np.flatnonzero(close)
+        p = p[part[p + 1] & 1 == 1]
+        s = p[part[p] & 1 == 0]
+        _add_pairs(counts, t[s + 1], t[s], bin_width)
+        # (close[-1] at p == 0 is a wrapped index, ignored by the or)
+        walks += (p[(p == 0) | close[p - 1]] + (lo + 1)).tolist()
+    as_idx = np.array(walks, dtype=np.intp)
+    t_as = (keys[as_idx] >> 1).view(np.float64)
+    s_idx, lim = as_idx - 2, t_as - window
+    while s_idx.size:
+        more = np.flatnonzero(s_idx >= 0)
+        s_idx, t_as, lim = s_idx[more], t_as[more], lim[more]
+        k = keys[s_idx]
+        near = np.flatnonzero((k >> 1).view(np.float64) > lim)
+        s_idx, t_as, lim, k = s_idx[near], t_as[near], lim[near], k[near]
+        s = np.flatnonzero(k & 1 == 0)
+        _add_pairs(counts, t_as[s], (k[s] >> 1).view(np.float64), bin_width)
+        s_idx -= 1
     return counts
 
 
-def _simulate_shard(
-    table: _DelayTable,
-    cfg: DetectionConfig,
-    t_slice: float,
-    n_bins: int,
-    rng: np.random.Generator,
-) -> CoincidenceHistogram:
-    """One slice of the measurement, drawn in two passes and correlated in blocks.
+def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
+                    n_bins: int, rng: np.random.Generator) -> CoincidenceHistogram:
+    """One slice of the measurement, drawn in two passes and correlated in chunks.
 
     The draws follow one fixed order on rng: the pair count, then
     n_pairs uniforms each for the Stokes times, the delays, the Stokes
@@ -289,13 +279,12 @@ def _simulate_shard(
     64-bit output per double, so four copies advanced by 0, n, 2n and 3n
     outputs draw the four per-pair runs, _BLOCK pairs at a time, into
     reused buffers, with the same values as four whole-length calls.
-    The first pass draws the two keep runs into one bit per pair and
-    counts the kept tags.  Each stream is then allocated once at its
-    exact size, with the background times drawn into its tail, and the
-    second pass draws the Stokes times and delays and writes each
-    block's kept tags in place, mapping delays only for the kept
-    anti-Stokes pairs.  No stream is ever held twice, and memory follows
-    the detected tags rather than the generated pairs.
+    The first pass packs the two keep runs into one bit per pair and
+    counts the kept tags.  The key array (see _correlate) is then
+    allocated at their exact count, the backgrounds keyed in place behind
+    them; the second pass writes each block's kept tags as keys, mapping
+    delays only for the kept anti-Stokes pairs, and one in-place sort
+    merges the two arms.  No tag is ever held twice.
     """
     n_pairs = int(rng.poisson(cfg.pair_rate * cfg.duty_cycle * t_slice))
     forks = []
@@ -320,11 +309,21 @@ def _simulate_shard(
 
     n_bg = [int(rng.poisson(rate * t_slice))
             for rate in (cfg.background_s, cfg.background_as)]
-    stream_s, stream_as = streams = [np.empty(n + b) for n, b in zip(n_kept, n_bg)]
-    for stream, n in zip(streams, n_kept):
-        rng.random(out=stream[n:])
-        stream[n:] *= t_slice
-    ends = [0, 0]
+    n_s, n_as = (int(n + b) for n, b in zip(n_kept, n_bg))
+    # the second pass draws into fresh buffers, so the first pass's are
+    # freed before the keys exist and that space below the keys takes its
+    # short-lived arrays: a small array numpy keeps cached above the keys
+    # can leave the next shard's keys no room here, and the heap grows
+    buffers = np.empty_like(buffers)
+    keys = np.empty(n_s + n_as, dtype=np.uint64)
+    # each arm's kept tags, then both backgrounds, drawn as two calls would
+    bg = keys[sum(n_kept):]
+    times = bg.view(np.float64)
+    rng.random(out=times)
+    times *= t_slice
+    bg <<= 1
+    bg[n_bg[0]:] |= 1
+    ends = [0, n_kept[0]]
     for start in range(0, n_pairs, _BLOCK):
         m = min(_BLOCK, n_pairs - start)
         t_s, u = (fork.random(out=buf[:m]) for fork, buf in zip(forks, buffers))
@@ -337,18 +336,19 @@ def _simulate_shard(
         t_as *= 1e-9
         t_as += t_s.take(kept)
         for k, tags in enumerate((t_s.take(kept_s), t_as)):
-            streams[k][ends[k]:ends[k] + len(tags)] = tags
+            out = keys[ends[k]:ends[k] + len(tags)]
+            np.left_shift(tags.view(np.uint64), 1, out=out)
+            out |= k
             ends[k] += len(tags)
     del bits  # freed before the correlation allocates its own arrays
-    stream_s.sort()
-    stream_as.sort()
+    keys.sort()
 
     window = n_bins * cfg.bin_width * 1e-9
     return CoincidenceHistogram(
         bin_width=cfg.bin_width,
-        counts=_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width),
-        n_singles_s=len(stream_s),
-        n_singles_as=len(stream_as),
+        counts=_correlate(keys, window, n_bins, cfg.bin_width),
+        n_singles_s=n_s,
+        n_singles_as=n_as,
         measurement_time=t_slice,
     )
 

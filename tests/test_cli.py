@@ -1,7 +1,11 @@
 """Command-line front end: every subcommand, exit codes, reproducibility."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,24 @@ def test_overflow_exits_3_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_non_finite_curve_exits_3_before_writing(tmp_path):
+    # in a subprocess: in process the suite turns the physics' overflow
+    # warning into an error before the writer sees the NaN samples
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "biphoton.cli", "spectrum", "--delta-c", "1e200",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 3
+    # the physics' RuntimeWarning lines come first
+    assert run.stderr.splitlines()[-1] == (
+        "error: spectrum_full.csv: 16384 of 16384 value samples are not finite")
+    assert "Traceback" not in run.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_data_file_exits_4(tmp_path, capsys):

@@ -103,10 +103,15 @@ def test_full_config_parses(tmp_path):
 def test_yaml_exponent_strings_coerced(tmp_path):
     # YAML 1.1 reads 4.0e4 (no sign) as a string; the loader must not
     path = tmp_path / "run.yaml"
-    path.write_text("detection:\n  pair_rate: 4.0e4\n  measurement_time: 1.0e2\n")
+    path.write_text("detection:\n  pair_rate: 4.0e4\n  measurement_time: 1.0e2\n"
+                    "mask:\n  start_offset_ns: 4.0e1\n"
+                    "filter:\n  center_gamma13: 1.5e1\n")
     cfg = load_config(path)
     assert cfg.detection.pair_rate == 4.0e4
     assert cfg.detection.measurement_time == 100.0
+    # the keys that also take a name read such a string as a number too
+    assert cfg.mask.mask.start_offset == 40.0 and not cfg.mask.start_auto
+    assert cfg.filters[0].center == 15.0
 
 
 def test_non_numeric_value_rejected():
@@ -155,7 +160,7 @@ def test_fit_window_must_be_ordered():
 
 
 def test_mask_start_auto_only_keyword():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="must be a number or auto"):
         config_from_dict({"mask": {"start_offset_ns": "later"}})
 
 
@@ -226,11 +231,15 @@ def test_malformed_yaml_raises(tmp_path):
     "mask: {pulse_separation_ns: .nan}",
     "mask: {start_offset_ns: .nan}",
     "mask: {samples: [.nan]}",
+    "output: {directory: null}",
 ])
-def test_malformed_input_exits_2(tmp_path, capsys, text):
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text):
+    # no --out, which would override output.directory; a run that is not
+    # refused writes into tmp_path
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "run.yaml"
     path.write_text(text + "\n")
-    argv = ["--config", str(path), "--out", str(tmp_path), "--delta-c", "3"]
+    argv = ["--config", str(path), "--delta-c", "3"]
     assert main(["sweep", *argv]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -212,6 +212,9 @@ def test_metadata_is_json_serializable():
     back = json.loads(text)
     assert back["bin_width_ns"] == pytest.approx(cfg.bin_width)
     assert back["n_singles_s"] == h.n_singles_s
+    # and the singles themselves are plain ints, as json needs
+    assert json.loads(json.dumps([h.n_singles_s, h.n_singles_as])) == [
+        h.n_singles_s, h.n_singles_as]
 
 
 def test_invalid_configs_rejected():
@@ -308,6 +311,14 @@ def _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width):
     return counts
 
 
+def _keys(stream_s, stream_as):
+    """Sorted keys of two streams of tag times in s, as a shard builds them."""
+    keys = np.concatenate([stream_s.view(np.uint64) << 1,
+                           stream_as.view(np.uint64) << 1 | 1])
+    keys.sort()
+    return keys
+
+
 def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
     # tags on a 2**-22 s lattice: differences, window and bin edges are
     # exact, so ties at t_as == t_s, at the window and on every bin edge
@@ -324,21 +335,47 @@ def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
     assert np.any(diffs == 4 * unit * 3)
     want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
     assert want.sum() > 1000
-    got = _correlate(stream_s, stream_as, window, n_bins, bin_width)
+    keys = _keys(stream_s, stream_as)
+    got = _correlate(keys, window, n_bins, bin_width)
     assert np.array_equal(got, want)
-    # and in blocks of anti-Stokes tags that start or end on a Stokes tag
+    # and in chunks of 2 * _BLOCK keys whose first tag has its
+    # predecessor within the window, or at the same time
+    times = (keys >> 1).view(np.float64)
+    ties = False
     for block in (7, 64):
         monkeypatch.setattr(photostatistics, "_BLOCK", block)
-        ends = np.concatenate([stream_as[::block], stream_as[block - 1::block]])
-        assert np.isin(ends, stream_s).any()
-        got = _correlate(stream_s, stream_as, window, n_bins, bin_width)
+        starts = np.arange(2 * block, len(keys), 2 * block)
+        ties |= np.any(times[starts - 1] == times[starts])
+        assert np.all(times[starts - 1] > times[starts] - window)
+        got = _correlate(keys, window, n_bins, bin_width)
+        assert np.array_equal(got, want)
+    assert ties
+
+
+@pytest.mark.parametrize("stream_s, stream_as", [
+    ([], []),
+    ([0.0, 1e-8], []),
+    ([], [0.0, 1e-8]),
+    ([0.0], [0.0]),
+    ([0.0, 0.0], [0.0, 3e-9, 3e-9]),
+    ([0.0, 2e-8], [1e-8, 4e-8, 5e-8]),
+], ids=["empty", "no_antistokes", "no_stokes", "both_at_zero",
+        "ties_at_zero", "window_edges"])
+def test_correlation_of_edge_streams(monkeypatch, stream_s, stream_as):
+    stream_s, stream_as = np.array(stream_s, dtype=float), np.array(stream_as, dtype=float)
+    window, n_bins, bin_width = 4e-8, 8, 5.0
+    want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
+    for block in (1, 64):
+        monkeypatch.setattr(photostatistics, "_BLOCK", block)
+        got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
+        assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
 
 def test_correlation_of_an_empty_stream_is_empty():
     tags = np.array([1e-6, 2e-6])
     for stream_s, stream_as in ((tags, tags[:0]), (tags[:0], tags)):
-        counts = _correlate(stream_s, stream_as, 1e-6, 4, 1.0)
+        counts = _correlate(_keys(stream_s, stream_as), 1e-6, 4, 1.0)
         assert counts.dtype == np.int64 and not counts.any()
 
 
@@ -399,6 +436,23 @@ def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
         more = s_idx >= 0
         as_idx, s_idx = as_idx[more], s_idx[more]
     return counts
+
+
+@pytest.mark.parametrize("block", [None, 5, 256])
+def test_key_correlation_equals_full_array_correlate(monkeypatch, block):
+    # untied float times in s, dense enough that many tags have several
+    # partners and many walks cross chunk boundaries
+    if block:
+        monkeypatch.setattr(photostatistics, "_BLOCK", block)
+    rng = np.random.default_rng(21)
+    for n_s, n_as, span in ((3000, 2000, 2e-4), (500, 4000, 1e-3), (1, 1, 1e-7)):
+        stream_s = np.sort(rng.random(n_s) * span)
+        stream_as = np.sort(rng.random(n_as) * span + rng.random(n_as) * 3e-7)
+        for window, n_bins, bin_width in ((4e-7, 400, 1.0), (1e-6, 7, 150.0)):
+            want = _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width)
+            got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
+            assert np.array_equal(got, want)
+            assert want.sum() > (500 if n_s > 1 else -1)
 
 
 def _full_array_shard(model, cfg, t_slice, n_bins, rng):
