@@ -2,15 +2,22 @@
 
 Subcommands: dressed | spectrum | wavepacket | filter | montecarlo |
 fit | modulate | budget | sweep.  A YAML config file supplies the run
-definition; each command-line flag in FLAG_KEYS overrides one key of it,
-and the merged mapping is resolved once by config.config_from_dict.
-File headers echo the config file as written, without the flags.  All
-file output is deterministic for a fixed config and seed (timestamps
-only with --timestamps).
+definition.  FLAGS declares each flag once, with the config key it
+overrides, and COMMANDS gives each subcommand the flags it reads: a
+subcommand refuses any other flag, and no flag is taken by a prefix.
+The flags are written into the file's sections and the merged mapping
+is resolved once by config.config_from_dict.  File headers echo the
+config file as written, without the flags.  All file output is
+deterministic for a fixed config and seed (timestamps only with
+--timestamps).
 
 filter, montecarlo and modulate take every delay curve, with or without
 a filter section, from the exact residue sum filtered_wavepacket; only
 spectrum and wavepacket also write the two-pole approximation.
+
+A run executes under numpy's raising error state.  An overflow, invalid
+value or division by zero, or a non-finite number about to be written
+or printed, ends it with one error line and exit code 3.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error,
 4 I/O error.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -49,118 +57,36 @@ from .susceptibility import chi3_approx, chi3_full, default_frequency_grid
 from .wavepacket import beat_period, g2_analytic, psi_numeric, spectrum_power
 
 
-# argparse dest -> (config section, key) that the flag overrides
-FLAG_KEYS = {
-    "delta_c": ("system", "delta_c"),
-    "omega_c": ("system", "omega_c"),
-    "gamma12": ("system", "gamma12"),
-    "gamma14": ("system", "gamma14"),
-    "delta_p": ("system", "delta_p"),
-    "tau_max": ("grid", "tau_max_ns"),
-    "n_points": ("grid", "n_points"),
-    "seed": ("detection", "rng_seed"),
-    "out": ("output", "directory"),
-    "timestamps": ("output", "timestamps"),
-    "model": ("fit", "model"),
-    "detected_rate": ("budget", "detected_rate"),
-    "delta_c_list": ("sweep", "delta_c"),
+def _in_gamma13(why: str) -> dict:
+    return {"type": float, "help": f"{why} (gamma13 units)"}
+
+
+# flag -> ((config section, key) the flag overrides, or None; argparse keywords)
+FLAGS = {
+    "--config": (None, {"help": "YAML run configuration file"}),
+    "--out": (("output", "directory"), {"help": "output directory"}),
+    "--timestamps": (("output", "timestamps"), {
+        "action": "store_true", "default": None,
+        "help": "include wall-clock timestamps in file headers"}),
+    "--delta-c": (("system", "delta_c"), _in_gamma13("coupling detuning")),
+    "--omega-c": (("system", "omega_c"), _in_gamma13("coupling Rabi frequency")),
+    "--gamma12": (("system", "gamma12"), _in_gamma13("ground-state dephasing")),
+    "--gamma14": (("system", "gamma14"), _in_gamma13("pump-level dephasing")),
+    "--delta-p": (("system", "delta_p"), _in_gamma13("pump detuning")),
+    "--tau-max": (("grid", "tau_max_ns"),
+                  {"type": float, "help": "time grid end (ns)"}),
+    "--n-points": (("grid", "n_points"), {"type": int, "help": "time grid points"}),
+    "--seed": (("detection", "rng_seed"), {"type": int, "help": "RNG seed"}),
+    "--shards": (None, {"type": int, "default": 1, "help": "measurement-time slices"}),
+    "--workers": (None, {"type": int, "default": 1, "help": "threads for the shards"}),
+    "--data": (None, {"required": True, "help": "histogram CSV from montecarlo"}),
+    "--model": (("fit", "model"), {"choices": [*MODEL_NAMES, "auto"],
+                                   "help": "model shape"}),
+    "--detected-rate": (("budget", "detected_rate"),
+                        {"type": float, "help": "detected pair rate in 1/s"}),
+    "--delta-c-list": (("sweep", "delta_c"), {
+        "type": lambda text: text.split(","), "help": "comma-separated delta_c values"}),
 }
-
-
-def _comma_list(text: str) -> list[str]:
-    return text.split(",")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="YAML run configuration file")
-    shared.add_argument("--out", help="output directory (overrides config)")
-    shared.add_argument("--timestamps", action="store_true", default=None,
-                        help="include wall-clock timestamps in file headers")
-    for flag, why in (
-        ("--delta-c", "coupling detuning (gamma13 units)"),
-        ("--omega-c", "coupling Rabi frequency (gamma13 units)"),
-        ("--gamma12", "ground-state dephasing (gamma13 units)"),
-        ("--gamma14", "pump-level dephasing (gamma13 units)"),
-        ("--delta-p", "pump detuning (gamma13 units)"),
-    ):
-        shared.add_argument(flag, type=float, help=why)
-    shared.add_argument("--tau-max", type=float, help="time grid end (ns)")
-    shared.add_argument("--n-points", type=int, help="time grid points")
-
-    parser = argparse.ArgumentParser(
-        prog="biphoton",
-        description="Biphoton wavepacket simulation and analysis toolkit",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"biphoton {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dressed", parents=[shared],
-                       help="dressed-mode detunings, widths, linewidths")
-    p.set_defaults(func=cmd_dressed)
-
-    p = sub.add_parser("spectrum", parents=[shared],
-                       help="spectral power of the exact and two-pole forms")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("wavepacket", parents=[shared],
-                       help="analytic and numeric wavepackets plus spectrum")
-    p.set_defaults(func=cmd_wavepacket)
-
-    p = sub.add_parser("filter", parents=[shared],
-                       help="pass the spectrum through the configured etalon")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("montecarlo", parents=[shared],
-                       help="synthetic coincidence histogram")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="independent measurement-time slices")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the shards")
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("fit", parents=[shared],
-                       help="fit a model shape to a histogram CSV")
-    p.add_argument("--data", required=True, help="histogram CSV from montecarlo")
-    p.add_argument("--model", choices=[*MODEL_NAMES, "auto"],
-                   help="model shape (overrides config)")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("modulate", parents=[shared],
-                       help="carve the heralded wavepacket with a mask")
-    p.set_defaults(func=cmd_modulate)
-
-    p = sub.add_parser("budget", parents=[shared],
-                       help="invert a detected rate through the loss chain")
-    p.add_argument("--detected-rate", type=float,
-                   help="detected pair rate in 1/s (overrides config)")
-    p.set_defaults(func=cmd_budget)
-
-    p = sub.add_parser("sweep", parents=[shared],
-                       help="beat period and linewidths across delta_c values")
-    p.add_argument("--delta-c-list", type=_comma_list,
-                   help="comma-separated delta_c values (overrides config)")
-    p.set_defaults(func=cmd_sweep)
-
-    return parser
-
-
-def _configure(args: argparse.Namespace) -> RunConfig:
-    raw = read_config_file(args.config) if args.config else {}
-    run = dict(raw)
-    for dest, (section, key) in FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        entry = run.get(section)
-        # a malformed section is left as it is, for config_from_dict to reject
-        if value is not None and (entry is None or isinstance(entry, dict)):
-            run[section] = {**(entry or {}), key: value}
-    cfg = config_from_dict(run)
-    # headers echo the file as written, so a different --out or --seed
-    # never changes the bytes of an output file's header
-    cfg.echo = raw
-    return cfg
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -169,28 +95,28 @@ def _outdir(cfg: RunConfig) -> Path:
     return path
 
 
-def _meta(cfg: RunConfig, command: str, **extra) -> dict:
-    meta = {"command": command, "system": dataclasses.asdict(cfg.system)}
-    if cfg.echo:
-        meta["config"] = cfg.echo
-    return {**meta, **extra}
-
-
-def _write(cfg: RunConfig, out: Path, name: str, command: str, curve: str,
-           axis: tuple[str, np.ndarray], values) -> None:
-    """Write `values` against `axis`, a (column name, samples) pair;
-    NumericalError, before anything is written, if a sample is not finite."""
-    columns = dict([axis, ("value", values)])
+def _write(cfg: RunConfig, out: Path, name: str, command: str, columns: dict,
+           **extra) -> None:
+    """Write named columns under a header of the command, the system, the
+    config file and `extra`; NumericalError, before anything is written,
+    if a sample is not finite."""
     for column, samples in columns.items():
         bad = np.count_nonzero(~np.isfinite(samples))
         if bad:
             raise NumericalError(f"{name}: {bad} of {len(samples)} {column} "
                                  "samples are not finite")
-    write_csv(out / name, columns, _meta(cfg, command, curve=curve),
-              cfg.output.timestamps)
+    meta = {"command": command, "system": dataclasses.asdict(cfg.system), **extra}
+    if cfg.echo:
+        meta["config"] = cfg.echo
+    write_csv(out / name, columns, meta, cfg.output.timestamps)
 
 
-def _print_lines(pairs) -> None:
+def _print_lines(pairs: list) -> None:
+    """Print `key: value` lines; NumericalError, before any is printed,
+    if a value reads as a number that is not finite."""
+    bad = [key for key, value in pairs if not math.isfinite(float(value))]
+    if bad:
+        raise NumericalError(f"not finite: {', '.join(bad)}")
     for key, value in pairs:
         print(f"{key}: {value}")
 
@@ -237,8 +163,8 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.filters:
         curves["filtered"] = ("filtered", filtered)
     for kind, (curve, power) in curves.items():
-        _write(cfg, out, f"spectrum_{kind}.csv", "spectrum", curve,
-               ("omega_over_gamma13", omegas), power)
+        _write(cfg, out, f"spectrum_{kind}.csv", "spectrum",
+               {"omega_over_gamma13": omegas, "value": power}, curve=curve)
     print(f"wrote {', '.join(f'spectrum_{k}.csv' for k in curves)} in {out}")
     return 0
 
@@ -252,16 +178,15 @@ def cmd_wavepacket(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise NumericalError(f"wavepacket peaks {peaks[0]:g}, {peaks[1]:g} "
                              "are not positive and finite")
     out = _outdir(cfg)
-    axis = ("tau_ns", analytic.taus)
-    _write(cfg, out, "wavepacket_analytic.csv", "wavepacket", "analytic",
-           axis, analytic.g2)
-    _write(cfg, out, "wavepacket_numeric.csv", "wavepacket", "numeric",
-           axis, numeric.g2)
-    _write(cfg, out, "spectrum_power.csv", "wavepacket", "spectrum",
-           ("omega_over_gamma13", omegas), full)
+    _write(cfg, out, "wavepacket_analytic.csv", "wavepacket",
+           {"tau_ns": analytic.taus, "value": analytic.g2}, curve="analytic")
+    _write(cfg, out, "wavepacket_numeric.csv", "wavepacket",
+           {"tau_ns": analytic.taus, "value": numeric.g2}, curve="numeric")
+    _write(cfg, out, "spectrum_power.csv", "wavepacket",
+           {"omega_over_gamma13": omegas, "value": full}, curve="spectrum")
     a, n = analytic.g2 / peaks[0], numeric.g2 / peaks[1]
     print(f"analytic vs numeric max deviation: {np.max(np.abs(a - n)):.3e}")
-    print(f"beat_period_ns: {beat_period(cfg.system):.6g}")
+    _print_lines([("beat_period_ns", f"{beat_period(cfg.system):.6g}")])
     print(f"wrote 3 files in {out}")
     return 0
 
@@ -276,10 +201,10 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
     for kind, power, w in (("unfiltered", full, before),
                            ("filtered", filtered, after)):
-        _write(cfg, out, f"spectrum_{kind}.csv", "filter", kind,
-               ("omega_over_gamma13", omegas), power)
-        _write(cfg, out, f"wavepacket_{kind}.csv", "filter", kind,
-               ("tau_ns", w.taus), w.g2)
+        _write(cfg, out, f"spectrum_{kind}.csv", "filter",
+               {"omega_over_gamma13": omegas, "value": power}, curve=kind)
+        _write(cfg, out, f"wavepacket_{kind}.csv", "filter",
+               {"tau_ns": w.taus, "value": w.g2}, curve=kind)
     _print_lines([
         ("beat_depth_before", f"{depth_before:.4f}"),
         ("beat_depth_after", f"{depth_after:.4f}"),
@@ -344,14 +269,14 @@ def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     masked = apply_mask(w, mask, settings.delay_ns, settings.convention,
                         settings.rise_time_ns)
     out = _outdir(cfg)
-    axis = ("tau_ns", w.taus)
-    _write(cfg, out, "wavepacket_unmasked.csv", "modulate", "unmasked",
-           axis, w.g2)
-    _write(cfg, out, "mask.csv", "modulate", "mask", axis,
-           mask_values(mask, w.taus - settings.delay_ns))
-    _write(cfg, out, "wavepacket_modulated.csv", "modulate", "modulated",
-           axis, masked.g2)
-    print(f"beat_period_ns: {beat_period(cfg.system):.6g}")
+    for name, curve, values in (
+        ("wavepacket_unmasked.csv", "unmasked", w.g2),
+        ("mask.csv", "mask", mask_values(mask, w.taus - settings.delay_ns)),
+        ("wavepacket_modulated.csv", "modulated", masked.g2),
+    ):
+        _write(cfg, out, name, "modulate", {"tau_ns": w.taus, "value": values},
+               curve=curve)
+    _print_lines([("beat_period_ns", f"{beat_period(cfg.system):.6g}")])
     print(f"wrote 3 files in {out}")
     return 0
 
@@ -374,25 +299,90 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows["two_gamma_minus_gamma13"].append(2.0 * d.gamma_minus)
         rows["two_gamma_plus_gamma13"].append(2.0 * d.gamma_plus)
         rows["linewidth_minus_hz"].append(p.rate_to_hz(2.0 * d.gamma_minus))
-    path = _outdir(cfg) / "beat_periods.csv"
-    write_csv(path, rows, _meta(cfg, "sweep"), cfg.output.timestamps)
+    out = _outdir(cfg)
+    _write(cfg, out, "beat_periods.csv", "sweep", rows)
     for dc, period in zip(rows["delta_c_gamma13"], rows["beat_period_ns"]):
         print(f"delta_c {dc:g}: beat period {period:.4g} ns")
-    print(f"wrote {path}")
+    print(f"wrote {out / 'beat_periods.csv'}")
     return 0
 
 
+_IO = ("--config", "--out")
+_SYSTEM = ("--delta-c", "--omega-c", "--gamma12", "--gamma14", "--delta-p")
+_CURVES = (*_IO, "--timestamps", *_SYSTEM, "--tau-max", "--n-points")
+
+# subcommand -> (handler, help, the flags it reads); dressed keeps --out,
+# which it does not read, so that every subcommand takes --config and --out
+COMMANDS = {
+    "dressed": (cmd_dressed, "dressed-mode detunings, widths, linewidths",
+                (*_IO, "--delta-c", "--omega-c", "--gamma12")),
+    "spectrum": (cmd_spectrum, "spectral power of the exact and two-pole forms",
+                 (*_IO, "--timestamps", *_SYSTEM)),
+    "wavepacket": (cmd_wavepacket,
+                   "analytic and numeric wavepackets plus spectrum", _CURVES),
+    "filter": (cmd_filter, "pass the spectrum through the configured etalon",
+               _CURVES),
+    "montecarlo": (cmd_montecarlo, "synthetic coincidence histogram",
+                   (*_CURVES, "--seed", "--shards", "--workers")),
+    "fit": (cmd_fit, "fit a model shape to a histogram CSV",
+            (*_IO, "--data", "--model")),
+    "modulate": (cmd_modulate, "carve the heralded wavepacket with a mask",
+                 _CURVES),
+    "budget": (cmd_budget, "invert a detected rate through the loss chain",
+               (*_IO, "--detected-rate")),
+    "sweep": (cmd_sweep, "beat period and linewidths across delta_c values",
+              (*_IO, "--timestamps", "--omega-c", "--gamma12", "--gamma14",
+               "--delta-p", "--delta-c-list")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="biphoton", allow_abbrev=False,
+        description="Biphoton wavepacket simulation and analysis toolkit",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"biphoton {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, why, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=why, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag][1])
+        p.set_defaults(func=handler)
+    return parser
+
+
+def _configure(args: argparse.Namespace) -> RunConfig:
+    raw = read_config_file(args.config) if args.config else {}
+    run = dict(raw)
+    for flag in COMMANDS[args.command][2]:
+        target, value = FLAGS[flag][0], getattr(args, flag[2:].replace("-", "_"))
+        if target is None or value is None:
+            continue
+        section, key = target
+        entry = run.get(section)
+        # a malformed section is left as it is, for config_from_dict to reject
+        if entry is None or isinstance(entry, dict):
+            run[section] = {**(entry or {}), key: value}
+    cfg = config_from_dict(run)
+    # headers echo the file as written, so a different --out or --seed
+    # never changes the bytes of an output file's header
+    cfg.echo = raw
+    return cfg
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _configure(args)
-        return args.func(cfg, args)
+        # numpy 2 keeps this state per thread context; simulate_coincidences
+        # hands it on to its worker threads
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(_configure(args), args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OverflowError as exc:
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # Python float arithmetic, or numpy's errstate
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return NumericalError.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -101,7 +101,7 @@ class RunConfig:
     budget: BudgetSettings
     sweep_delta_c: list = field(default_factory=lambda: [0.0, 16.7, 28.3, 45.0])
     output: OutputSettings = field(default_factory=OutputSettings)
-    echo: dict = field(default_factory=dict)
+    echo: dict = field(default_factory=dict)  # the file as written; set by the CLI
 
 
 def _read(name: str, given, table: dict) -> dict:
@@ -322,7 +322,6 @@ def config_from_dict(raw) -> RunConfig:
         budget=BudgetSettings(**read("budget")),
         **read("sweep"),
         output=OutputSettings(**read("output")),
-        echo=raw,
     )
 
 

@@ -319,7 +319,10 @@ def _linear_fit(s: np.ndarray, w: np.ndarray, yw: np.ndarray) -> tuple[float, fl
     ww = w @ w
     ms, my = (s @ w) / ww, (yw @ w) / ww
     ds = s - ms * w
-    a = (ds @ yw) / (ds @ ds)
+    # a shape that underflows to zero leaves the amplitude NaN, and the
+    # NaN cost makes the solver reject that trial point
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (ds @ yw) / (ds @ ds)
     b = my - a * ms
     if b < 0.0:
         a, b = (s @ yw) / (s @ s), 0.0

@@ -91,7 +91,14 @@ def read_csv(path) -> tuple[dict, dict]:
         if names is None:
             names = line.split(",")
             continue
-        rows.append([float(x) for x in line.split(",")])
+        row = line.split(",")
+        if len(row) != len(names):
+            raise OutputError(f"{path}: a row of {len(row)} cells under "
+                              f"{len(names)} columns")
+        try:
+            rows.append([float(x) for x in row])
+        except ValueError as exc:
+            raise OutputError(f"{path}: {exc}") from exc
     if names is None:
         raise OutputError(f"{path} has no column header")
     data = np.asarray(rows, dtype=float)
@@ -132,11 +139,15 @@ def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
         raise OutputError(f"cannot read sidecar {sidecar}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise OutputError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
-    h = CoincidenceHistogram(
-        bin_width=float(meta["bin_width_ns"]),
-        counts=np.asarray(np.rint(columns["counts"]), dtype=np.int64),
-        n_singles_s=int(meta["n_singles_s"]),
-        n_singles_as=int(meta["n_singles_as"]),
-        measurement_time=float(meta["measurement_time_s"]),
-    )
+    try:
+        h = CoincidenceHistogram(
+            bin_width=float(meta["bin_width_ns"]),
+            counts=np.asarray(np.rint(columns["counts"]), dtype=np.int64),
+            n_singles_s=int(meta["n_singles_s"]),
+            n_singles_as=int(meta["n_singles_as"]),
+            measurement_time=float(meta["measurement_time_s"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise OutputError(f"sidecar {sidecar} lacks a valid field: "
+                          f"{type(exc).__name__}: {exc}") from exc
     return h, meta

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .wavepacket import Wavepacket
 
 # expected tags (pairs plus background singles) one shard may hold, and
@@ -396,11 +396,15 @@ def simulate_coincidences(
     table = _delay_table(model)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
     t_slice = cfg.measurement_time / n_shards
+    # numpy 2 keeps its error state per context, and a pool thread starts
+    # from the default one: each shard runs under the caller's
+    errstate = np.geterr()
 
     def run(seed_seq) -> CoincidenceHistogram:
-        return _simulate_shard(
-            table, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
-        )
+        with np.errstate(**errstate):
+            return _simulate_shard(
+                table, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
+            )
 
     if workers == 1:
         # in the calling thread: a fresh worker thread per call allocates
@@ -456,13 +460,19 @@ def loss_budget_rate(detected_rate: float, budget: LossBudget) -> float:
 
 
 def budget_report(detected_rate: float, budget: LossBudget) -> str:
-    """Human-readable inversion table, one factor per line."""
+    """Human-readable inversion table, one factor per line; NumericalError
+    if a rate in it overflows."""
     lines = [f"detected rate: {detected_rate:.6g} /s"]
     running = detected_rate
     for label, value in budget.factors:
         running /= value
         lines.append(f"/ {value:<6g} {label}: {running:.6g} /s")
-    lines.append(f"generated rate: {loss_budget_rate(detected_rate, budget):.6g} /s")
+    rate = loss_budget_rate(detected_rate, budget)
+    # no factor exceeds 1, so the last running rate is the largest
+    if not math.isfinite(max(running, rate)):
+        raise NumericalError(f"a detected rate of {detected_rate:g} /s "
+                             "overflows through the loss chain")
+    lines.append(f"generated rate: {rate:.6g} /s")
     return "\n".join(lines)
 
 

@@ -19,7 +19,7 @@ from biphoton import (
     narrowband_etalon,
 )
 from biphoton import config
-from biphoton.cli import FLAG_KEYS, main
+from biphoton.cli import COMMANDS, FLAGS, main
 from biphoton.config import config_from_dict, load_config
 from biphoton.filtering import narrow_mode_center
 
@@ -239,7 +239,7 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "run.yaml"
     path.write_text(text + "\n")
-    argv = ["--config", str(path), "--delta-c", "3"]
+    argv = ["--config", str(path), "--gamma14", "3"]
     assert main(["sweep", *argv]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -349,9 +349,13 @@ def test_every_key_reaches_its_field(section, key):
                            if isinstance(expected, float) else expected)
 
 
-def _readme_config() -> dict:
+def _readme_section(title: str) -> str:
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("## Configuration file")[1]
+    return readme.read_text().split(f"## {title}\n")[1].split("\n## ")[0]
+
+
+def _readme_config() -> dict:
+    block = _readme_section("Configuration file")
     return yaml.safe_load(block.split("```yaml\n")[1].split("```")[0])
 
 
@@ -363,5 +367,51 @@ def test_docs_and_reader_tables_name_the_same_keys():
     tables = {(section, key) for section, table in config._TABLES.items()
               for key in table}
     assert readme == set(_doc_keys()) == tables == set(KEY_CASES)
-    assert set(FLAG_KEYS.values()) <= tables
+    assert {target for target, _ in FLAGS.values() if target} <= tables
     config_from_dict(raw)  # the README example is itself a valid config
+
+
+@pytest.mark.parametrize(
+    "sub,flag", [*((s, f) for s in COMMANDS for f in FLAGS), ("budget", "--det")],
+)
+def test_each_subcommand_takes_only_the_flags_it_reads(sub, flag, tmp_path,
+                                                       monkeypatch, capsys):
+    seen = []  # what the handler is given
+
+    def handler(cfg, args):
+        seen.append((cfg, args))
+        return 0
+
+    monkeypatch.setitem(COMMANDS, sub, (handler, *COMMANDS[sub][1:]))
+    target = FLAGS.get(flag, (None,))[0]
+    if target:
+        value, leaf, expected = KEY_CASES[target][:3]
+        given = [] if value is True else [
+            ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    else:
+        empty = tmp_path / "run.yaml"
+        empty.write_text("")
+        given, expected = {"--config": ([str(empty)], str(empty)),
+                           "--data": (["h.csv"], "h.csv")}.get(flag, (["3"], 3))
+    required = ["--data", "h.csv"] if sub == "fit" and flag != "--data" else []
+    argv = [sub, flag, *given, *required]
+    if flag not in COMMANDS[sub][2]:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2 and not seen
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        return
+    assert main(argv) == 0
+    cfg, args = seen[0]
+    got = _leaves(cfg)[leaf] if target else getattr(args, flag[2:])
+    assert got == (pytest.approx(expected) if isinstance(expected, float) else expected)
+
+
+def test_readme_names_each_subcommands_flags_and_their_keys():
+    text = _readme_section("Command line")
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", text, re.M)
+    assert {sub: set(re.findall(r"`(--[\w-]+)`", flags)) for sub, flags in rows} == \
+        {sub: set(flags) for sub, (_, _, flags) in COMMANDS.items()}
+    keys = re.findall(r"^- `(--[\w-]+)`: `(\w+)\.(\w+)`$", text, re.M)
+    assert {flag: (section, key) for flag, section, key in keys} == \
+        {flag: target for flag, (target, _) in FLAGS.items() if target}

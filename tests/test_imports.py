@@ -28,8 +28,9 @@ import json, sys
 scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import biphoton.cli
 seen = {{"import": scipy()}}
-for sub in ("dressed", "sweep", "wavepacket"):
-    assert biphoton.cli.main([sub, "--delta-c", "28.3", "--out", {out!r}]) == 0
+for sub, flags in (("dressed", ["--delta-c", "28.3"]), ("sweep", []),
+                   ("wavepacket", ["--delta-c", "28.3"])):
+    assert biphoton.cli.main([sub, *flags, "--out", {out!r}]) == 0
     seen[sub] = scipy()
 print(json.dumps(seen))
 """)

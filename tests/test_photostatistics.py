@@ -62,6 +62,22 @@ def test_workers_do_not_change_the_result():
     assert serial.n_singles_as == threaded.n_singles_as
 
 
+def test_pool_shards_run_under_the_callers_error_state(monkeypatch):
+    # numpy 2 keeps its error state per context, which a pool thread does
+    # not inherit; the CLI relies on it reaching every shard
+    seen = []
+    shard = photostatistics._simulate_shard
+
+    def spy(*args):
+        seen.append(np.geterr()["over"])
+        return shard(*args)
+
+    monkeypatch.setattr(photostatistics, "_simulate_shard", spy)
+    with np.errstate(over="raise"):
+        simulate_coincidences(MODEL, _cfg(), n_shards=2, workers=2)
+    assert seen == ["raise", "raise"]
+
+
 def test_different_seeds_differ():
     h1 = simulate_coincidences(MODEL, _cfg(rng_seed=1))
     h2 = simulate_coincidences(MODEL, _cfg(rng_seed=2))
