@@ -4,7 +4,8 @@ Subcommands: dressed | spectrum | wavepacket | filter | montecarlo |
 fit | modulate | budget | sweep.  A YAML config file supplies the run
 definition.  FLAGS declares each flag once, with the config key it
 overrides, and COMMANDS gives each subcommand the flags it reads: a
-subcommand refuses any other flag, and no flag is taken by a prefix.
+subcommand refuses any other flag, with its own usage and exit code 2,
+and no flag is taken by a prefix.
 The flags are written into the file's sections and the merged mapping
 is resolved once by config.config_from_dict.  File headers echo the
 config file as written, without the flags.  All file output is
@@ -17,7 +18,8 @@ spectrum and wavepacket also write the two-pole approximation.
 
 A run executes under numpy's raising error state.  An overflow, invalid
 value or division by zero, or a non-finite number about to be written
-or printed, ends it with one error line and exit code 3.
+or printed, ends it with one error line and exit code 3.  A warning of
+the library (a UserWarning) is printed as one `warning:` line on stderr.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error,
 4 I/O error.
@@ -29,6 +31,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=why, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag][1])
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
@@ -372,21 +375,36 @@ def _configure(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        # numpy 2 keeps this state per thread context; simulate_coincidences
-        # hands it on to its worker threads
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(_configure(args), args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ArithmeticError as exc:  # Python float arithmetic, or numpy's errstate
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return NumericalError.exit_code
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # argparse hands a subcommand's leftovers to the top-level parser,
+        # whose usage does not show the flags the subcommand takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    show = warnings.showwarning
+
+    def one_line(message, category, *where):
+        # a library UserWarning is one line, without a line of the source
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = one_line
+        try:
+            # numpy 2 keeps this state per thread context;
+            # simulate_coincidences hands it on to its worker threads
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return args.func(_configure(args), args)
+        except ToolkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except ArithmeticError as exc:  # Python float arithmetic, or numpy's errstate
+            print(f"error: numerical failure: {exc}", file=sys.stderr)
+            return NumericalError.exit_code
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -9,14 +9,12 @@ a histogram bin of width t_c.  True pairs and accidentals therefore
 emerge from one mechanism, and the flat accidental floor obeys
 S_s * S_as * t_c per bin and second.
 
-Each shard draws its pairs in blocks of _BLOCK on the random stream of
-whole-length draws, and writes the detected tags into one key array of
-their exact size, sorted once to merge both arms (see _simulate_shard
-and _correlate).  Delays are drawn by inverse CDF through a guide table
-(Chen & Asau, 1974), bit-identical to np.interp(u, cdf, taus) on the
-same uniforms.  Memory follows the detected tags, not the pairs.
-A shard expected to hold more than MAX_SHARD_TAGS tags, or a histogram
-of more than MAX_SHARD_TAGS bins, is refused before anything is drawn.
+Each shard draws and correlates its slice of the measurement in time
+order, chunk by chunk (see _simulate_shard), so its memory follows the
+chunk, not the measurement time.  Delays are drawn by inverse CDF (see
+_delay_table) from G2 normalized over the histogram window.  A shard
+expected to draw more than MAX_SHARD_TAGS tags, or a histogram of more
+than MAX_SHARD_TAGS bins, is refused before anything is drawn.
 
 The run can be sharded into independent slices of the measurement time,
 each with its own child RNG stream, so results are reproducible for a
@@ -26,25 +24,27 @@ shard counts give statistically equivalent, not bit-identical, data.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .wavepacket import Wavepacket
 
-# expected tags (pairs plus background singles) one shard may hold, and
-# the most histogram bins; a shard's traced peak is 8.4-8.9 B per detected
-# tag (8 B key, keep bits at 0.25 B per pair, 0.5 MB of decode buffers),
-# and a pair gives at most two: about 18 B per expected tag, 0.9 GB at most
+# expected tags (pairs plus background singles) one shard may draw, and
+# the most histogram bins: it bounds a shard's work, not its memory,
+# which follows the chunk
 MAX_SHARD_TAGS = 50_000_000
-# guide-table cells per CDF node, and pairs taken per block
-_GUIDE_CELLS_PER_NODE = 32
+# guide-table cells per delay-table node, half the keys _correlate scans
+# at a time, and the expected tags (pairs plus background singles) of one
+# chunk of a shard
+_GUIDE_CELLS_PER_NODE = 16
 _BLOCK = 1 << 14
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,10 @@ class DetectionConfig:
     pair_rate is the generated pair rate in 1/s before any losses;
     the observed rate is scaled by duty_cycle and the per-channel
     efficiencies.  Backgrounds are uncorrelated singles rates in 1/s
-    (dark counts fold in here).  bin_width is in ns.
+    (dark counts fold in here).  bin_width is in ns.  The Monte Carlo
+    draws delays from the model it is given and does not apply an
+    etalon's pass fraction: a filtered model's anti-Stokes singles and
+    coincidence totals are those of the unfiltered source.
     """
 
     pair_rate: float = 1.0e4
@@ -149,11 +152,12 @@ class LossBudget:
 class _DelayTable:
     """Inverse CDF of the normalized G2 density, with its guide table.
 
-    cdf is the trapezoid mass accumulated over the tau >= 0 nodes taus,
-    slope holds np.interp's slopes between them with 0 appended for the
-    last node, and guide gives, for each of len(guide) equal cells of
-    [0, 1), the one CDF segment that cell lies in, or -1 where a node
-    falls inside the cell.
+    taus holds the tau >= 0 grid nodes and three sub-nodes splitting each
+    segment in quarters, cdf the normalized mass accumulated over them,
+    slope np.interp's slopes between them with 0 appended for the last
+    node, and guide gives, for each of len(guide) equal cells of [0, 1),
+    the one CDF segment that cell lies in, or -1 where a node falls
+    inside the cell.
     """
 
     taus: np.ndarray
@@ -165,28 +169,45 @@ class _DelayTable:
 def _delay_table(model: Wavepacket) -> _DelayTable:
     """Build the delay table of a model; the shards of one run share it.
 
-    The guide table (Chen & Asau, 1974) splits [0, 1) into a power of
-    two of equal cells, at least _GUIDE_CELLS_PER_NODE per CDF node, so
-    u * cells is exact and a cell holding no node lies inside a single
-    segment.
+    The segment of width h between nodes j and j + 1 holds the mass
+    h/24*(-g[j-1] + 13 g[j] + 13 g[j+1] - g[j+2]) of the cubic through
+    its four nearest nodes, clamped at 0, with a ghost node beyond each
+    end on the quadratic through the last three; G2 below 0 counts as 0.
+    The segment's quarters share its mass in proportion to the line from
+    g[j] to g[j+1] at their midpoints.  The guide table (Chen & Asau,
+    1974) splits [0, 1) into a power of two of equal cells, at least
+    _GUIDE_CELLS_PER_NODE per node, so u * cells is exact and a cell
+    holding no node lies inside a single segment.
     """
-    taus = model.taus
-    g2 = np.asarray(model.g2, dtype=float)
-    pos = taus >= 0
-    taus = taus[pos]
-    g2 = g2[pos]
-    # bin masses by trapezoid between grid nodes
-    masses = 0.5 * (g2[1:] + g2[:-1]) * np.diff(taus)
-    total = masses.sum()
+    pos = model.taus >= 0
+    taus = model.taus[pos]
+    g = np.maximum(np.asarray(model.g2, dtype=float)[pos], 0.0)
+    if len(g) < 3:
+        raise ValidationError("model wavepacket needs three nodes at tau >= 0")
+    g_ext = np.concatenate([[3 * (g[0] - g[1]) + g[2]], g, [3 * (g[-1] - g[-2]) + g[-3]]])
+    h = np.diff(taus)
+    masses = np.maximum(h / 24 * (13 * (g[:-1] + g[1:]) - g_ext[:-3] - g_ext[3:]), 0.0)
+    x = np.arange(0.5, 4) / 4
+    line = np.outer(g[:-1], 1 - x) + np.outer(g[1:], x)
+    norm = line.sum(axis=1, keepdims=True)
+    # a segment whose two nodes are 0 has no mass
+    sub = np.divide(masses[:, None] * line, norm, out=np.zeros_like(line), where=norm > 0)
+    total = sub.sum()
     if not (total > 0) or not np.isfinite(total):
         raise ValidationError("model wavepacket has no finite positive weight")
-    cdf = np.concatenate([[0.0], np.cumsum(masses)]) / total
+    cdf = np.concatenate([[0.0], np.cumsum(sub)]) / total
+    taus = np.append(taus[:-1, None] + np.outer(h, np.arange(4) / 4), taus[-1])
 
     # a zero-mass segment gets slope inf but is never some u's segment
     with np.errstate(divide="ignore"):
         slope = np.append(np.diff(taus) / np.diff(cdf), 0.0)
     cells = 1 << int(np.ceil(np.log2(_GUIDE_CELLS_PER_NODE * len(cdf))))
-    guide = np.searchsorted(cdf, np.arange(cells) / cells, side="right") - 1
+    # guide[c] = searchsorted(cdf, c / cells, "right") - 1, counted: node
+    # i has cdf[i] <= c / cells from cell ceil(cdf[i] * cells) on
+    first = np.minimum(np.ceil(cdf * cells), cells).astype(np.intp)
+    guide = np.bincount(first, minlength=cells + 1)[:cells]
+    np.cumsum(guide, out=guide)
+    guide -= 1
     guide[(cdf[cdf < 1.0] * cells).astype(np.intp)] = -1
     return _DelayTable(taus, cdf, slope, guide)
 
@@ -200,7 +221,7 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
     formula, slope[j]*(u - cdf[j]) + taus[j], with the same slopes; the
     last node, reached when the CDF rounds below 1, has slope 0 and
     returns taus[-1] as np.interp does.  The result equals np.interp
-    bit for bit.
+    on the table's nodes bit for bit.
     """
     x = u * len(table.guide)
     # astype floors, as u >= 0; every index is in range, and "clip"
@@ -216,9 +237,10 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
 
 def _add_pairs(counts: np.ndarray, t_as: np.ndarray, t_s: np.ndarray,
                bin_width: float) -> None:
-    """Add each pair's bin, from its times in s and bin_width in ns, to counts."""
+    """Add each pair's bin, from its times in s and bin_width in ns, to counts;
+    t_as >= t_s, so only a rounding past the last bin is clipped."""
     idx = ((t_as - t_s) * 1e9 / bin_width).astype(np.int64)
-    np.clip(idx, 0, len(counts) - 1, out=idx)
+    np.minimum(idx, len(counts) - 1, out=idx)
     counts += np.bincount(idx, minlength=len(counts))
 
 
@@ -238,7 +260,7 @@ def _correlate(keys: np.ndarray, window: float, n_bins: int,
     counts = np.zeros(n_bins, dtype=np.int64)
     chunk = 2 * _BLOCK
     buf = np.empty((2, min(len(keys), chunk + 1)))
-    walks = []  # as ints: numpy caches small arrays, see _simulate_shard
+    walks = []  # as ints, joined into one array after the scan
     for start in range(0, len(keys), chunk):
         lo = max(start - 1, 0)
         part = keys[lo:start + chunk]
@@ -268,89 +290,70 @@ def _correlate(keys: np.ndarray, window: float, n_bins: int,
     return counts
 
 
+def _chunk_keys(table: _DelayTable, cfg: DetectionConfig, start: float, end: float,
+                carry: np.ndarray, rng: np.random.Generator) -> tuple:
+    """carry, then the keys (see _correlate) of one chunk [start, end) of
+    tags, unsorted, and the chunk's Stokes and anti-Stokes tag counts.
+
+    rng draws the pair count, the Stokes times, uniform in the chunk, the
+    Stokes and then the anti-Stokes keeps, the kept anti-Stokes photons'
+    delays, and the Stokes and then the anti-Stokes background counts
+    and times.  No drawn tag lies before start.
+    """
+    span = end - start
+    t_s = rng.random(rng.poisson(cfg.pair_rate * cfg.duty_cycle * span))
+    t_s *= span
+    t_s += start
+    # take on flatnonzero's indices: a boolean index into a random mask
+    # runs several times slower
+    kept_s, kept = (np.flatnonzero(rng.random(len(t_s)) < eff) for eff in (
+        cfg.qe_stokes * cfg.channel_t_stokes, cfg.qe_antistokes * cfg.channel_t_antistokes))
+    t_as = _delays(table, rng.random(len(kept)))
+    t_as *= 1e-9
+    t_as += t_s.take(kept)
+    t_s = t_s.take(kept_s)
+    bg_s, bg_as = (rng.random(rng.poisson(rate * span)) * span + start
+                   for rate in (cfg.background_s, cfg.background_as))
+    keys = np.concatenate([carry, *(t.view(np.uint64) for t in (t_s, bg_s, t_as, bg_as))])
+    new = keys[len(carry):]
+    new <<= 1
+    n_s = len(t_s) + len(bg_s)
+    new[n_s:] |= 1
+    return keys, n_s, len(new) - n_s
+
+
 def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
                     n_bins: int, rng: np.random.Generator) -> CoincidenceHistogram:
-    """One slice of the measurement, drawn in two passes and correlated in chunks.
+    """One slice of the measurement, drawn and correlated in time order.
 
-    The draws follow one fixed order on rng: the pair count, then
-    n_pairs uniforms each for the Stokes times, the delays, the Stokes
-    keep and the anti-Stokes keep, then the two background counts and
-    their times.  rng is a PCG64 Generator, whose random() takes one
-    64-bit output per double, so four copies advanced by 0, n, 2n and 3n
-    outputs draw the four per-pair runs, _BLOCK pairs at a time, into
-    reused buffers, with the same values as four whole-length calls.
-    The first pass packs the two keep runs into one bit per pair and
-    counts the kept tags.  The key array (see _correlate) is then
-    allocated at their exact count, the backgrounds keyed in place behind
-    them; the second pass writes each block's kept tags as keys, mapping
-    delays only for the kept anti-Stokes pairs, and one in-place sort
-    merges the two arms.  No tag is ever held twice.
+    The slice [0, t_slice) is cut into equal chunks of about _CHUNK
+    expected tags (pairs plus background singles), drawn in turn by
+    _chunk_keys behind the keys carried from the chunk before.  Once
+    sorted, the keys before the chunk's end are correlated, and the
+    Stokes keys within one window of the end, with every key at or after
+    it, are carried on: each anti-Stokes tag meets all its partners once,
+    and the counts equal one correlation of all the slice's tags.  The
+    carry left after the last chunk is correlated last.  Memory follows
+    the chunk, not t_slice.
     """
-    n_pairs = int(rng.poisson(cfg.pair_rate * cfg.duty_cycle * t_slice))
-    forks = []
-    for k in range(4):
-        fork = copy.deepcopy(rng)
-        fork.bit_generator.advance(k * n_pairs)
-        forks.append(fork)
-    rng.bit_generator.advance(4 * n_pairs)
-
-    effs = (cfg.qe_stokes * cfg.channel_t_stokes,
-            cfg.qe_antistokes * cfg.channel_t_antistokes)
-    buffers = np.empty((2, min(n_pairs, _BLOCK)))
-    bits = np.empty((2, (n_pairs + 7) // 8), dtype=np.uint8)
-    n_kept = [0, 0]
-    for start in range(0, n_pairs, _BLOCK):
-        m = min(_BLOCK, n_pairs - start)
-        for k in range(2):
-            keep = forks[2 + k].random(out=buffers[k, :m]) < effs[k]
-            n_kept[k] += np.count_nonzero(keep)
-            # _BLOCK is a multiple of 8, so each block starts on a whole byte
-            bits[k, start // 8:(start + m + 7) // 8] = np.packbits(keep)
-
-    n_bg = [int(rng.poisson(rate * t_slice))
-            for rate in (cfg.background_s, cfg.background_as)]
-    n_s, n_as = (int(n + b) for n, b in zip(n_kept, n_bg))
-    # the second pass draws into fresh buffers, so the first pass's are
-    # freed before the keys exist and that space below the keys takes its
-    # short-lived arrays: a small array numpy keeps cached above the keys
-    # can leave the next shard's keys no room here, and the heap grows
-    buffers = np.empty_like(buffers)
-    keys = np.empty(n_s + n_as, dtype=np.uint64)
-    # each arm's kept tags, then both backgrounds, drawn as two calls would
-    bg = keys[sum(n_kept):]
-    times = bg.view(np.float64)
-    rng.random(out=times)
-    times *= t_slice
-    bg <<= 1
-    bg[n_bg[0]:] |= 1
-    ends = [0, n_kept[0]]
-    for start in range(0, n_pairs, _BLOCK):
-        m = min(_BLOCK, n_pairs - start)
-        t_s, u = (fork.random(out=buf[:m]) for fork, buf in zip(forks, buffers))
-        t_s *= t_slice
-        # take on flatnonzero's indices of a bool view: a boolean index
-        # into a random mask, or flatnonzero on uint8, runs several times slower
-        kept_s, kept = (np.flatnonzero(np.unpackbits(b[start // 8:], count=m).view(bool))
-                        for b in bits)
-        t_as = _delays(table, u.take(kept))
-        t_as *= 1e-9
-        t_as += t_s.take(kept)
-        for k, tags in enumerate((t_s.take(kept_s), t_as)):
-            out = keys[ends[k]:ends[k] + len(tags)]
-            np.left_shift(tags.view(np.uint64), 1, out=out)
-            out |= k
-            ends[k] += len(tags)
-    del bits  # freed before the correlation allocates its own arrays
-    keys.sort()
-
+    n = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s + cfg.background_as) * t_slice
+    edges = np.linspace(0.0, t_slice, max(1, math.ceil(n / _CHUNK)) + 1).tolist()
     window = n_bins * cfg.bin_width * 1e-9
-    return CoincidenceHistogram(
-        bin_width=cfg.bin_width,
-        counts=_correlate(keys, window, n_bins, cfg.bin_width),
-        n_singles_s=n_s,
-        n_singles_as=n_as,
-        measurement_time=t_slice,
-    )
+    counts = np.zeros(n_bins, dtype=np.int64)
+    singles = np.zeros(2, dtype=np.int64)
+    carry = np.empty(0, dtype=np.uint64)
+    for start, end in zip(edges, edges[1:]):
+        keys, *tags = _chunk_keys(table, cfg, start, end, carry, rng)
+        singles += tags
+        keys.sort()
+        # Stokes keys at end and at one window before it (0 at the least)
+        cuts = np.array([end, max(end - window, 0.0)]).view(np.uint64) << 1
+        done, after = np.split(keys, [keys.searchsorted(cuts[0])])
+        counts += _correlate(done, window, n_bins, cfg.bin_width)
+        near = done[done.searchsorted(cuts[1]):]
+        carry = np.concatenate([near[near & 1 == 0], after])
+    counts += _correlate(carry, window, n_bins, cfg.bin_width)
+    return CoincidenceHistogram(cfg.bin_width, counts, *singles.tolist(), t_slice)
 
 
 def simulate_coincidences(
@@ -365,11 +368,11 @@ def simulate_coincidences(
     cfg.bin_width.  Sharding splits measurement_time into n_shards equal
     slices with child RNG streams spawned from rng_seed.  The delay table
     is built once and shared, and each shard draws and correlates its
-    pairs in blocks of _BLOCK.  With workers > 1 the shards run on a pool
-    of that many threads, with 1 in the calling thread, and they merge in
-    shard order, so the result is deterministic for fixed (rng_seed,
-    n_shards) regardless of workers.  ValidationError is raised before
-    anything is drawn when a shard's expected tag count,
+    slice in chunks of time (see _simulate_shard).  With workers > 1 the
+    shards run on a pool of that many threads, with 1 in the calling
+    thread, and they merge in shard order, so the result is deterministic
+    for fixed (rng_seed, n_shards) regardless of workers.  ValidationError
+    is raised before anything is drawn when a shard's expected tag count,
     (pair_rate*duty_cycle + background_s + background_as)*
     measurement_time/n_shards, or the bin count, tau_max/bin_width,
     exceeds MAX_SHARD_TAGS.
@@ -382,7 +385,7 @@ def simulate_coincidences(
             + cfg.background_as) * cfg.measurement_time / n_shards
     if tags > MAX_SHARD_TAGS:
         raise ValidationError(
-            f"each shard would hold about {tags:.3g} tags, above "
+            f"each shard would draw about {tags:.3g} tags, above "
             f"MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; raise n_shards to at "
             f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}"
         )
@@ -414,11 +417,7 @@ def simulate_coincidences(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(run, seeds))
-
-    merged = shards[0]
-    for sh in shards[1:]:
-        merged = merged.merged_with(sh)
-    return merged
+    return reduce(CoincidenceHistogram.merged_with, shards)
 
 
 def expected_accidental_floor(h: CoincidenceHistogram) -> float:

@@ -454,11 +454,11 @@ CYCLE_DIGESTS = {
     "beat_periods.csv":
         "49b74b756850270a85a99bf0cc530abe840fdb6b73123884350eff34c420417d",
     "fit_result.txt":
-        "3c1f8fff6d6181fe253d7e32947199e8134fea84f778e655fa26855bdcd596cd",
+        "c5a6ec98c48f712a95a36aff09bd4b6ac43aea7555ce47304ca52336ddd0946b",
     "histogram.csv":
-        "396b065c0735768c6ad890867610626f549b4c1177710d11de338461e9a8aa00",
+        "c5e04e0d118fb2677d728231ecb74d6b27afe099cfeafbdf5778fbabd208c1a5",
     "histogram.csv.meta.json":
-        "cf75b0575acf4d9a6d8a1e8480d553e4506d0c9294caf803ff953d0c0c0a865b",
+        "b65d5263ce2e3054a095add5930e5322685407b42fd46664e8d19a5c779e57bb",
     "mask.csv":
         "9612197394cd28177113fd165c4e1abd5d7d7569ee14b1ebe8a73b87827ccf81",
     "spectrum_approx.csv":
@@ -488,8 +488,10 @@ CYCLE_DIGESTS = {
 
 def test_filtered_cycle_bytes_are_pinned(tmp_path):
     # recorded before the CLI's curve writers and spectrum normalisations
-    # were merged: any drift in a byte of a written file changes a digest.
-    # Every header names the tool version, so a version bump re-records them.
+    # were merged, and the Monte Carlo's three files again when its random
+    # stream changed: any drift in a byte of a written file changes a
+    # digest.  Every header names the tool version, so a version bump
+    # re-records them.
     cfg = _write_config(tmp_path, CYCLE_CONFIG)
     out = tmp_path / "out"
     for sub in ("dressed", "spectrum", "wavepacket", "filter", "montecarlo",
@@ -500,3 +502,28 @@ def test_filtered_cycle_bytes_are_pinned(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(out.iterdir())}
     assert digests == CYCLE_DIGESTS
+
+
+def test_library_warning_is_one_line(tmp_path, capsys):
+    # a two-component fit of the pinned cycle's filtered histogram has a
+    # near-singular curvature; Python would print a line of cli.py under it
+    cfg = _write_config(tmp_path, CYCLE_CONFIG)
+    assert main(["montecarlo", "--shards", "8", "--workers", "2", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--model", "two_component", "--data",
+                 str(tmp_path / "histogram.csv"), "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: near-singular curvature") and err.count("\n") == 1
+    assert "cli.py" not in err
+
+
+@pytest.mark.parametrize("argv", [["budget", "--det", "4"], ["sweep", "--delta-c", "1"]])
+def test_refused_flag_shows_the_subcommands_usage(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: biphoton {argv[0]} ")
+    assert f"biphoton {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err

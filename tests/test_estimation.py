@@ -322,22 +322,23 @@ def test_background_on_its_bound_converges_quickly(data, which):
 
 
 # recorded before the fit layer's data-kind and pinned-t0 decisions were
-# merged: any drift in a printed digit of a report changes its digest
+# merged, the histogram cases again when the Monte Carlo's random stream
+# changed: any drift in a printed digit of a report changes its digest
 REPORT_DIGESTS = {
     ("criterion_3_wavepacket", "single_exponential"):
         "6362e765b302af31de90dee525400b47f0aa448f262c0cb223e92e44183328ec",
     ("background_histogram", "two_component"):
-        "33feaeea24c2c65662757cb82e76c408a3d53ca7243c56c00670768fd83dd426",
+        "db18236a68a37a3fe546936f8e6d86ee7e4a9ca2cc2ea02f98e8d0b759e2456d",
     ("resonant_histogram", "resonant"):
-        "e3d52d5781a7a0701347ad5f7de010b6e6059b39972ed7b0299100db8b6a0d0d",
+        "5967e0165a4a4cbf470af561db4934da6f6834a2ec8fadd4b3a9d4573780a007",
     ("resonant_histogram", "two_component"):  # singular curvature
-        "7b79ea1e824a21d98f6be6fec37af5edd05ccff6196c79ed330b49eabfff0753",
+        "d0dbb84a5f5e5e526960b599e7d96eb69ae2ce11dc492a907ae5baa08355c98a",
 }
 
 GUESSES = {
     "background_histogram": {
-        "amplitude": "2426.12", "background": "107.875", "gamma_minus": "0.29236",
-        "gamma_plus": "1", "omega_e": "31.8005", "t0": "0",
+        "amplitude": "2444.32", "background": "110.675", "gamma_minus": "0.301079",
+        "gamma_plus": "1", "omega_e": "31.8037", "t0": "0",
         "suggested_model": "two_component"},
     "criterion_3_wavepacket": {
         "amplitude": "2.17889e-08", "background": "5.21092e-09",
