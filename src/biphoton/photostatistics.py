@@ -1,31 +1,28 @@
 """Synthetic coincidence counting and rate bookkeeping.
 
-simulate_coincidences draws photon-pair events whose detection delays
-follow a model G2(tau), thins them by detector/channel efficiencies,
-adds uncorrelated background singles, and correlates the two resulting
-time-tag streams exactly the way a time-to-digital analyzer does: every
-(stokes, anti-stokes) tag pair with 0 <= t_as - t_s < tau_max falls in
-a histogram bin of width t_c.  True pairs and accidentals therefore
-emerge from one mechanism, and the flat accidental floor obeys
-S_s * S_as * t_c per bin and second.
+simulate_coincidences draws the detected time tags of a pair source in
+three Poisson classes (see DetectionConfig): coincident pairs, whose
+anti-Stokes photon trails its Stokes photon by a delay drawn from a
+model G2(tau), and each arm's uncorrelated singles.  It correlates the
+two arms' tags as a time-to-digital analyzer does: every (stokes,
+anti-stokes) pair with 0 <= t_as - t_s < tau_max falls in a bin of
+width t_c, so true pairs and accidentals emerge from one mechanism, and
+the flat accidental floor is S_s * S_as * t_c per bin and second.
 
 Each shard draws and correlates its slice of the measurement in time
 order, chunk by chunk (see _simulate_shard), so its memory follows the
 chunk, not the measurement time.  Delays are drawn by inverse CDF (see
-_delay_table) from G2 normalized over the histogram window.  A shard
-expected to draw more than MAX_SHARD_TAGS tags, or a histogram of more
-than MAX_SHARD_TAGS bins, is refused before anything is drawn.
-
-The run can be sharded into independent slices of the measurement time,
-each with its own child RNG stream, so results are reproducible for a
-fixed (seed, n_shards) and shard merging is associative.  Different
-shard counts give statistically equivalent, not bit-identical, data.
+_delay_table) from G2 normalized over the histogram window.  Each shard
+has its own child RNG stream, so results are reproducible for a fixed
+(seed, n_shards); other shard counts give statistically equivalent, not
+bit-identical, data.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
@@ -35,8 +32,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .wavepacket import Wavepacket
 
-# expected tags (pairs plus background singles) one shard may draw, and
-# the most histogram bins: it bounds a shard's work, not its memory,
+# expected tags one shard may generate, pairs plus background singles,
+# and the most histogram bins: it bounds a shard's work, not its memory,
 # which follows the chunk
 MAX_SHARD_TAGS = 50_000_000
 # guide-table cells per delay-table node, half the keys _correlate scans
@@ -47,17 +44,30 @@ _BLOCK = 1 << 14
 _CHUNK = 1 << 16
 
 
+def _integer(name: str, value) -> int:
+    """value as a plain int; ValidationError unless an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     """Detection chain and run bookkeeping for the Monte Carlo.
 
-    pair_rate is the generated pair rate in 1/s before any losses;
-    the observed rate is scaled by duty_cycle and the per-channel
-    efficiencies.  Backgrounds are uncorrelated singles rates in 1/s
-    (dark counts fold in here).  bin_width is in ns.  The Monte Carlo
-    draws delays from the model it is given and does not apply an
-    etalon's pass fraction: a filtered model's anti-Stokes singles and
-    coincidence totals are those of the unfiltered source.
+    Pairs arrive at lam = pair_rate*duty_cycle (1/s), and each arm keeps
+    its photon with eta_s = qe_stokes*channel_t_stokes or eta_as =
+    qe_antistokes*channel_t_antistokes, so the Monte Carlo draws three
+    Poisson classes (the colouring theorem): coincident pairs at
+    lam*eta_s*eta_as, Stokes singles at lam*eta_s*(1 - eta_as) +
+    background_s and anti-Stokes singles at lam*(1 - eta_s)*eta_as +
+    background_as.  Singles are uniform in time: a lone anti-Stokes
+    photon is not held one delay behind a Stokes time, which thinning
+    each pair would differ from only within one window of a slice's
+    ends.  Backgrounds are singles rates in 1/s (dark counts fold in
+    here), bin_width is in ns and rng_seed a non-negative integer.
+    Delays come from the model, with no etalon pass fraction: a filtered
+    model's anti-Stokes singles and coincidences are the unfiltered ones.
     """
 
     pair_rate: float = 1.0e4
@@ -73,6 +83,8 @@ class DetectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        # a numpy integer becomes a plain int, as the JSON sidecar needs
+        object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed))
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValidationError(f"{f.name} must be finite")
@@ -121,13 +133,10 @@ class CoincidenceHistogram:
     def merged_with(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
         if other.bin_width != self.bin_width or len(other.counts) != len(self.counts):
             raise ValidationError("histograms must share binning to merge")
-        return CoincidenceHistogram(
-            bin_width=self.bin_width,
-            counts=self.counts + other.counts,
-            n_singles_s=self.n_singles_s + other.n_singles_s,
-            n_singles_as=self.n_singles_as + other.n_singles_as,
-            measurement_time=self.measurement_time + other.measurement_time,
-        )
+        return CoincidenceHistogram(self.bin_width, self.counts + other.counts,
+                                    self.n_singles_s + other.n_singles_s,
+                                    self.n_singles_as + other.n_singles_as,
+                                    self.measurement_time + other.measurement_time)
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,7 @@ class LossBudget:
                 raise ValidationError(f"factor {label!r} must be in (0, 1]")
 
     def product(self) -> float:
-        out = 1.0
-        for _, value in self.factors:
-            out *= value
-        return out
+        return math.prod((value for _, value in self.factors), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -290,36 +296,34 @@ def _correlate(keys: np.ndarray, window: float, n_bins: int,
     return counts
 
 
-def _chunk_keys(table: _DelayTable, cfg: DetectionConfig, start: float, end: float,
+def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
                 carry: np.ndarray, rng: np.random.Generator) -> tuple:
     """carry, then the keys (see _correlate) of one chunk [start, end) of
     tags, unsorted, and the chunk's Stokes and anti-Stokes tag counts.
 
-    rng draws the pair count, the Stokes times, uniform in the chunk, the
-    Stokes and then the anti-Stokes keeps, the kept anti-Stokes photons'
-    delays, and the Stokes and then the anti-Stokes background counts
-    and times.  No drawn tag lies before start.
+    rates are those of coincident pairs, Stokes singles and anti-Stokes
+    singles in 1/s (see DetectionConfig).  rng draws the three counts in
+    that order, then, straight into the keys, the pairs' times, uniform
+    in the chunk, their delays, and the Stokes and then the anti-Stokes
+    singles' times, uniform in the chunk.  No tag lies before start.
     """
     span = end - start
-    t_s = rng.random(rng.poisson(cfg.pair_rate * cfg.duty_cycle * span))
-    t_s *= span
-    t_s += start
-    # take on flatnonzero's indices: a boolean index into a random mask
-    # runs several times slower
-    kept_s, kept = (np.flatnonzero(rng.random(len(t_s)) < eff) for eff in (
-        cfg.qe_stokes * cfg.channel_t_stokes, cfg.qe_antistokes * cfg.channel_t_antistokes))
-    t_as = _delays(table, rng.random(len(kept)))
-    t_as *= 1e-9
-    t_as += t_s.take(kept)
-    t_s = t_s.take(kept_s)
-    bg_s, bg_as = (rng.random(rng.poisson(rate * span)) * span + start
-                   for rate in (cfg.background_s, cfg.background_as))
-    keys = np.concatenate([carry, *(t.view(np.uint64) for t in (t_s, bg_s, t_as, bg_as))])
-    new = keys[len(carry):]
-    new <<= 1
-    n_s = len(t_s) + len(bg_s)
-    new[n_s:] |= 1
-    return keys, n_s, len(new) - n_s
+    n_pair, n_s, n_as = rng.poisson(rates * span).tolist()
+    n_stokes = n_pair + n_s
+    keys = np.empty(len(carry) + n_stokes + n_pair + n_as, dtype=np.uint64)
+    keys[:len(carry)] = carry
+    t = keys[len(carry):].view(np.float64)
+    pair_s, pair_as, single_as = t[:n_pair], t[n_stokes:n_stokes + n_pair], t[n_stokes + n_pair:]
+    for part in (pair_s, pair_as, t[n_pair:n_stokes], single_as):
+        rng.random(out=part)
+    for part in (t[:n_stokes], single_as):
+        part *= span
+        part += start
+    np.multiply(_delays(table, pair_as), 1e-9, out=pair_as)
+    pair_as += pair_s
+    keys[len(carry):] <<= 1
+    keys[len(carry) + n_stokes:] |= 1
+    return keys, n_stokes, n_pair + n_as
 
 
 def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
@@ -336,14 +340,18 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
     carry left after the last chunk is correlated last.  Memory follows
     the chunk, not t_slice.
     """
-    n = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s + cfg.background_as) * t_slice
+    pairs, eff_s = cfg.pair_rate * cfg.duty_cycle, cfg.qe_stokes * cfg.channel_t_stokes
+    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
+    rates = np.array([pairs * eff_s * eff_as, pairs * eff_s * (1 - eff_as) + cfg.background_s,
+                      pairs * (1 - eff_s) * eff_as + cfg.background_as])
+    n = (pairs + cfg.background_s + cfg.background_as) * t_slice
     edges = np.linspace(0.0, t_slice, max(1, math.ceil(n / _CHUNK)) + 1).tolist()
     window = n_bins * cfg.bin_width * 1e-9
     counts = np.zeros(n_bins, dtype=np.int64)
     singles = np.zeros(2, dtype=np.int64)
     carry = np.empty(0, dtype=np.uint64)
     for start, end in zip(edges, edges[1:]):
-        keys, *tags = _chunk_keys(table, cfg, start, end, carry, rng)
+        keys, *tags = _chunk_keys(table, rates, start, end, carry, rng)
         singles += tags
         keys.sort()
         # Stokes keys at end and at one window before it (0 at the least)
@@ -372,29 +380,27 @@ def simulate_coincidences(
     shards run on a pool of that many threads, with 1 in the calling
     thread, and they merge in shard order, so the result is deterministic
     for fixed (rng_seed, n_shards) regardless of workers.  ValidationError
-    is raised before anything is drawn when a shard's expected tag count,
+    is raised before anything is drawn when n_shards or workers is not an
+    integer of at least 1, or when a shard's expected tag count,
     (pair_rate*duty_cycle + background_s + background_as)*
     measurement_time/n_shards, or the bin count, tau_max/bin_width,
     exceeds MAX_SHARD_TAGS.
     """
-    if n_shards < 1:
-        raise ValidationError("n_shards must be >= 1")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    for name, value in (("n_shards", n_shards), ("workers", workers)):
+        if _integer(name, value) < 1:
+            raise ValidationError(f"{name} must be >= 1")
     tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s
             + cfg.background_as) * cfg.measurement_time / n_shards
     if tags > MAX_SHARD_TAGS:
         raise ValidationError(
             f"each shard would draw about {tags:.3g} tags, above "
             f"MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; raise n_shards to at "
-            f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}"
-        )
+            f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}")
     bins = model.tau_max / cfg.bin_width
     if not (bins <= MAX_SHARD_TAGS):
         raise ValidationError(
             f"the histogram would have {bins:.3g} bins of {cfg.bin_width:g} ns, "
-            f"above MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; widen bin_width"
-        )
+            f"above MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; widen bin_width")
     n_bins = max(1, int(round(bins)))
     table = _delay_table(model)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
@@ -405,9 +411,8 @@ def simulate_coincidences(
 
     def run(seed_seq) -> CoincidenceHistogram:
         with np.errstate(**errstate):
-            return _simulate_shard(
-                table, cfg, t_slice, n_bins, np.random.default_rng(seed_seq)
-            )
+            return _simulate_shard(table, cfg, t_slice, n_bins,
+                                   np.random.default_rng(seed_seq))
 
     if workers == 1:
         # in the calling thread: a fresh worker thread per call allocates
@@ -428,24 +433,18 @@ def expected_accidental_floor(h: CoincidenceHistogram) -> float:
 
 
 def normalized_cross_correlation(h: CoincidenceHistogram) -> np.ndarray:
-    """g_cross(tau_bin): counts relative to the uncorrelated expectation.
-
-    g = counts * T / (N_s * N_as * t_c); uncorrelated streams give 1.
-    """
+    """g_cross(tau_bin) = counts * T / (N_s * N_as * t_c): counts relative to
+    the uncorrelated expectation, so uncorrelated streams give 1."""
     if h.n_singles_s == 0 or h.n_singles_as == 0:
         raise ValidationError("singles totals must be positive to normalize")
-    t_c = h.bin_width * 1e-9
-    return h.counts * h.measurement_time / (h.n_singles_s * h.n_singles_as * t_c)
+    return h.counts * h.measurement_time / (h.n_singles_s * h.n_singles_as
+                                            * (h.bin_width * 1e-9))
 
 
-def cauchy_schwarz(
-    g_cross_max: float, g_auto_s: float = 2.0, g_auto_as: float = 2.0
-) -> float:
-    """Nonclassicality parameter C = g_cross^2/(g_auto_s*g_auto_as).
-
-    C > 1 violates the classical bound.  The auto-correlations default
-    to 2, the chaotic-field value appropriate for each unheralded arm.
-    """
+def cauchy_schwarz(g_cross_max: float, g_auto_s: float = 2.0, g_auto_as: float = 2.0) -> float:
+    """Nonclassicality C = g_cross^2/(g_auto_s*g_auto_as); C > 1 violates the
+    classical bound.  Each unheralded arm's auto-correlation defaults to 2,
+    the chaotic-field value."""
     if g_auto_s <= 0 or g_auto_as <= 0:
         raise ValidationError("auto-correlations must be positive")
     return g_cross_max ** 2 / (g_auto_s * g_auto_as)

@@ -454,11 +454,11 @@ CYCLE_DIGESTS = {
     "beat_periods.csv":
         "49b74b756850270a85a99bf0cc530abe840fdb6b73123884350eff34c420417d",
     "fit_result.txt":
-        "c5a6ec98c48f712a95a36aff09bd4b6ac43aea7555ce47304ca52336ddd0946b",
+        "59ea464d3710a5cbef431c60b555be0e0d7eaa409d1a8da98a05cfe563c8febb",
     "histogram.csv":
-        "c5e04e0d118fb2677d728231ecb74d6b27afe099cfeafbdf5778fbabd208c1a5",
+        "45b93641fc36ed1e82986a9c7b13b341e9d7bd93e6c9cdeb56707b1a2d435803",
     "histogram.csv.meta.json":
-        "b65d5263ce2e3054a095add5930e5322685407b42fd46664e8d19a5c779e57bb",
+        "f2103d16d96017d26789368a41193dfef05c397c26053ca5474d5a7fd305e590",
     "mask.csv":
         "9612197394cd28177113fd165c4e1abd5d7d7569ee14b1ebe8a73b87827ccf81",
     "spectrum_approx.csv":

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import window_masses
 
 from biphoton import (
     DetectionConfig,
@@ -46,13 +47,12 @@ def test_bit_determinism_same_seed():
 
 
 def test_random_stream_is_pinned():
-    # recorded when shards began to draw in time chunks from the delay
-    # table of fourth-order segment masses: any drift in a drawn delay or
-    # a counted pair changes the digest
+    # recorded when shards began to draw their time chunks by detection
+    # class: any drift in a drawn delay or a counted pair changes the digest
     h = simulate_coincidences(MODEL, _cfg(), n_shards=4)
     digest = hashlib.sha256(np.asarray(h.counts, dtype="<i8").tobytes()).hexdigest()
-    assert digest == "02f7d7c1632621dc06fc4c95f35c8e2f71db8fbb573dac30fac9ec1b8469b604"
-    assert (h.n_singles_s, h.n_singles_as) == (72013, 71945)
+    assert digest == "b5b7aefe942191331fc423fbc03f5475941a856777ff39d20d82dae80693cbfc"
+    assert (h.n_singles_s, h.n_singles_as) == (71828, 71714)
 
 
 def test_workers_do_not_change_the_result():
@@ -102,19 +102,11 @@ def test_no_background_singles_bound_coincidences():
     assert h.counts.sum() <= min(h.n_singles_s, h.n_singles_as)
 
 
-def _window_masses(p, tau_max=400.0, n_bins=400):
-    """Exact share of G2 in each 1-ns bin of [0, tau_max): g2_analytic on
-    a 400,001-point grid, by the trapezoid rule, with no sampler code."""
-    g2 = g2_analytic(p, grid=TimeGridConfig(tau_max=tau_max, n_points=400_001)).g2
-    masses = (0.5 * (g2[1:] + g2[:-1])).reshape(n_bins, -1).sum(axis=1)
-    return masses / masses.sum()
-
-
 def test_histogram_shape_matches_model():
     # criterion 9's run, over two seeds, against the model integrated
     # apart from the sampler: expected pairs x efficiencies x bin mass,
     # plus the floor from the singles; Pearson chi2 per bin
-    masses = _window_masses(MODEL_P)
+    masses = window_masses(lambda grid: g2_analytic(MODEL_P, grid=grid))
     for seed in (17, 18):
         cfg = DetectionConfig(pair_rate=8.0e3, qe_stokes=0.9, qe_antistokes=0.9,
                               channel_t_stokes=0.9, channel_t_antistokes=0.9,
@@ -138,7 +130,7 @@ def test_delay_table_bias_is_below_6e8_pair_noise(delta_c, omega_c):
     p = SystemParams(delta_c=delta_c, omega_c=omega_c)
     table = _delay_table(g2_analytic(p, grid=TimeGridConfig(tau_max=400.0, n_points=2000)))
     got = np.diff(np.interp(np.arange(401.0), table.taus, table.cdf))
-    want = _window_masses(p)
+    want = window_masses(lambda grid: g2_analytic(p, grid=grid))
     assert 6e8 * float(np.sum((got - want) ** 2 / want)) <= 10.0
 
 
@@ -271,6 +263,18 @@ def test_invalid_configs_rejected():
                 DetectionConfig(**{name: value})
     with pytest.raises(ValidationError):
         simulate_coincidences(MODEL, _cfg(), n_shards=0)
+    # integers only, and a bool is not one: checked before anything is drawn
+    for value in (5.5, 5.0, True, "5", None):
+        with pytest.raises(ValidationError, match="rng_seed must be an integer"):
+            DetectionConfig(rng_seed=value)
+    for name, value in (("n_shards", 2.0), ("n_shards", True), ("workers", 1.5),
+                        ("workers", False), ("n_shards", np.float64(2.0))):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            simulate_coincidences(MODEL, _cfg(), **{name: value})
+    cfg = _cfg(measurement_time=1.0, rng_seed=np.int64(5))
+    assert type(cfg.rng_seed) is int
+    h = simulate_coincidences(MODEL, cfg, n_shards=np.int64(2), workers=np.int32(1))
+    assert json.loads(json.dumps(histogram_metadata(h, cfg)))["seed"] == 5
     zero = MODEL.with_g2(np.zeros_like(MODEL.g2))
     with pytest.raises(ValidationError):
         simulate_coincidences(zero, _cfg())
@@ -485,18 +489,44 @@ def test_key_correlation_equals_full_array_correlate(monkeypatch, block):
             assert want.sum() > (500 if n_s > 1 else -1)
 
 
-def _reference_chunks(cfg, t_slice, rng):
-    """The shard's tags drawn chunk by chunk in its order on rng, with
-    whole arrays, boolean keeps and np.interp on the delay table's nodes:
-    one (Stokes, anti-Stokes) pair of time arrays per chunk."""
-    table = _delay_table(MODEL)
-    pair_rate = cfg.pair_rate * cfg.duty_cycle
-    tags = (pair_rate + cfg.background_s + cfg.background_as) * t_slice
+def _chunk_edges(cfg, t_slice):
+    tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s + cfg.background_as) * t_slice
     edges = np.linspace(0.0, t_slice, max(1, math.ceil(tags / photostatistics._CHUNK)) + 1)
+    return zip(edges[:-1], edges[1:])
+
+
+def _reference_chunks(cfg, t_slice, rng):
+    """The shard's tags drawn chunk by chunk in its order on rng, by
+    detection class, with whole arrays and np.interp on the delay table's
+    nodes: one (Stokes, anti-Stokes) pair of time arrays per chunk."""
+    table = _delay_table(MODEL)
+    pairs = cfg.pair_rate * cfg.duty_cycle
+    eff_s = cfg.qe_stokes * cfg.channel_t_stokes
+    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
     chunks = []
-    for start, end in zip(edges[:-1], edges[1:]):
+    for start, end in _chunk_edges(cfg, t_slice):
         span = end - start
-        t_s = rng.random(rng.poisson(pair_rate * span)) * span + start
+        n_pair = rng.poisson(pairs * eff_s * eff_as * span)
+        n_s = rng.poisson((pairs * eff_s * (1 - eff_as) + cfg.background_s) * span)
+        n_as = rng.poisson((pairs * (1 - eff_s) * eff_as + cfg.background_as) * span)
+        t_s = rng.random(n_pair) * span + start
+        t_as = np.interp(rng.random(n_pair), table.cdf, table.taus) * 1e-9 + t_s
+        single_s = rng.random(n_s) * span + start
+        single_as = rng.random(n_as) * span + start
+        chunks.append((np.concatenate([t_s, single_s]), np.concatenate([t_as, single_as])))
+    return chunks
+
+
+def _per_pair_chunks(cfg, t_slice, rng):
+    """The same tags drawn by thinning every generated pair, as the shards
+    drew them before they drew by class: each pair's Stokes time, a keep
+    test per arm and a delay for every kept anti-Stokes photon, then the
+    backgrounds."""
+    table = _delay_table(MODEL)
+    chunks = []
+    for start, end in _chunk_edges(cfg, t_slice):
+        span = end - start
+        t_s = rng.random(rng.poisson(cfg.pair_rate * cfg.duty_cycle * span)) * span + start
         keep_s = rng.random(len(t_s)) < cfg.qe_stokes * cfg.channel_t_stokes
         keep_as = rng.random(len(t_s)) < cfg.qe_antistokes * cfg.channel_t_antistokes
         t_as = np.interp(rng.random(keep_as.sum()), table.cdf, table.taus) * 1e-9 + t_s[keep_as]
@@ -601,3 +631,24 @@ def test_shard_memory_is_flat_in_measurement_time():
         tags.append(h.n_singles_s + h.n_singles_as)
     assert tags[0] > 1_500_000 and tags[1] > 9 * tags[0]
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_class_draws_match_per_pair_thinning():
+    # the colouring theorem: drawing coincident pairs and each arm's
+    # singles as independent Poisson streams gives the totals of thinning
+    # every generated pair; over 24 seeds of a short run with backgrounds
+    cfg = _cfg(pair_rate=1.0e5, measurement_time=1.0, background_s=2000.0,
+               background_as=3000.0)
+    got, want = [], []
+    for seed in range(24):
+        h = simulate_coincidences(MODEL, dataclasses.replace(cfg, rng_seed=seed))
+        got.append((h.n_singles_s, h.n_singles_as, h.counts.sum()))
+        ref = _full_array_shard(cfg, cfg.measurement_time, 400,
+                                _per_pair_chunks(cfg, cfg.measurement_time,
+                                                 np.random.default_rng(1000 + seed)))
+        want.append((ref.n_singles_s, ref.n_singles_as, ref.counts.sum()))
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    diff = got.mean(axis=0) - want.mean(axis=0)
+    sigma = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / len(got))
+    assert np.all(np.abs(diff) < 4.0 * sigma), (diff, sigma)
+    assert np.all(want.mean(axis=0) > [7000.0, 8000.0, 1500.0])
