@@ -128,10 +128,18 @@ def write_histogram(
 
 
 def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
-    """Load a histogram CSV and its sidecar back into objects."""
+    """Load a histogram CSV and its sidecar back into objects; OutputError
+    names the file when a count is not a whole number that int64 holds."""
     columns, _ = read_csv(path)
     if "tau_ns" not in columns or "counts" not in columns:
         raise OutputError(f"{path} lacks the tau_ns/counts schema")
+    counts = columns["counts"]
+    # finite first, so that no comparison meets a nan
+    whole = np.isfinite(counts)
+    whole[whole] = (np.abs(counts[whole]) < 2.0 ** 63) & (counts[whole] % 1 == 0)
+    if not whole.all():
+        raise OutputError(f"{path}: count {counts[~whole][0]:g} is not a whole "
+                          "number that int64 holds")
     sidecar = Path(str(path) + ".meta.json")
     try:
         meta = json.loads(sidecar.read_text())
@@ -142,7 +150,7 @@ def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     try:
         h = CoincidenceHistogram(
             bin_width=float(meta["bin_width_ns"]),
-            counts=np.asarray(np.rint(columns["counts"]), dtype=np.int64),
+            counts=counts.astype(np.int64),
             n_singles_s=int(meta["n_singles_s"]),
             n_singles_as=int(meta["n_singles_as"]),
             measurement_time=float(meta["measurement_time_s"]),

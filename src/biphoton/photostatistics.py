@@ -36,11 +36,11 @@ from .wavepacket import Wavepacket
 # and the most histogram bins: it bounds a shard's work, not its memory,
 # which follows the chunk
 MAX_SHARD_TAGS = 50_000_000
-# guide-table cells per delay-table node, half the keys _correlate scans
-# at a time, and the expected tags (pairs plus background singles) of one
-# chunk of a shard
+# the most shards one run may spawn, each with its own RNG stream
+MAX_SHARDS = 256
+# guide-table cells per delay-table node, and the expected tags (pairs
+# plus background singles) of one chunk of a shard
 _GUIDE_CELLS_PER_NODE = 16
-_BLOCK = 1 << 14
 _CHUNK = 1 << 16
 
 
@@ -241,58 +241,36 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _add_pairs(counts: np.ndarray, t_as: np.ndarray, t_s: np.ndarray,
-               bin_width: float) -> None:
-    """Add each pair's bin, from its times in s and bin_width in ns, to counts;
-    t_as >= t_s, so only a rounding past the last bin is clipped."""
-    idx = ((t_as - t_s) * 1e9 / bin_width).astype(np.int64)
-    np.minimum(idx, len(counts) - 1, out=idx)
-    counts += np.bincount(idx, minlength=len(counts))
-
-
 def _correlate(keys: np.ndarray, window: float, n_bins: int,
                bin_width: float) -> np.ndarray:
     """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
 
     keys: both arms' sorted tags, each time (s) as its float64 bits
     shifted left by one, low bit 1 for anti-Stokes, so a Stokes tag comes
-    first at equal times; bin_width in ns.  A scan, 2*_BLOCK keys at a
-    time, pairs each anti-Stokes tag with its predecessor if that is a
-    Stokes tag within the window.  Only tags whose predecessor's own
-    predecessor lies in the predecessor's window walk further back, all
-    together after the scan.  Pairs are tested and binned by the same
-    float expressions as a search over two sorted streams.
+    first at equal times; bin_width in ns.  Round k = 1, 2, ... bins, for
+    each anti-Stokes tag whose k-th predecessor lies in its window, the
+    pair with that predecessor if it is a Stokes tag.  A tag leaves at its
+    first predecessor outside the window, as every earlier one lies
+    outside too, and the rounds end when no tag is left.  Pairs are tested
+    and binned by the same float expressions as a search over two sorted
+    streams.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
-    chunk = 2 * _BLOCK
-    buf = np.empty((2, min(len(keys), chunk + 1)))
-    walks = []  # as ints, joined into one array after the scan
-    for start in range(0, len(keys), chunk):
-        lo = max(start - 1, 0)
-        part = keys[lo:start + chunk]
-        t, lim = buf[:, :len(part)]
-        np.right_shift(part, 1, out=t.view(np.uint64))
-        np.subtract(t, window, out=lim)
-        # close[p]: tag p + 1 of the part has its predecessor p in the window
-        close = t[:-1] > lim[1:]
-        p = np.flatnonzero(close)
-        p = p[part[p + 1] & 1 == 1]
-        s = p[part[p] & 1 == 0]
-        _add_pairs(counts, t[s + 1], t[s], bin_width)
-        # (close[-1] at p == 0 is a wrapped index, ignored by the or)
-        walks += (p[(p == 0) | close[p - 1]] + (lo + 1)).tolist()
-    as_idx = np.array(walks, dtype=np.intp)
-    t_as = (keys[as_idx] >> 1).view(np.float64)
-    s_idx, lim = as_idx - 2, t_as - window
-    while s_idx.size:
-        more = np.flatnonzero(s_idx >= 0)
-        s_idx, t_as, lim = s_idx[more], t_as[more], lim[more]
-        k = keys[s_idx]
-        near = np.flatnonzero((k >> 1).view(np.float64) > lim)
-        s_idx, t_as, lim, k = s_idx[near], t_as[near], lim[near], k[near]
-        s = np.flatnonzero(k & 1 == 0)
-        _add_pairs(counts, t_as[s], (k[s] >> 1).view(np.float64), bin_width)
-        s_idx -= 1
+    t = (keys >> 1).view(np.float64)
+    lim = t - window
+    # the anti-Stokes tags whose predecessor lies in their window
+    i = np.flatnonzero(t[:-1] > lim[1:]) + 1
+    i = i[keys[i] & 1 == 1]
+    k = 1
+    while i.size:
+        s = i[keys[i - k] & 1 == 0]
+        # t_as >= t_s, so only a rounding past the last bin is clipped
+        idx = ((t[s] - t[s - k]) * 1e9 / bin_width).astype(np.int64)
+        np.minimum(idx, n_bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=n_bins)
+        k += 1
+        i = i[i >= k]
+        i = i[t[i - k] > lim[i]]
     return counts
 
 
@@ -376,12 +354,13 @@ def simulate_coincidences(
     cfg.bin_width.  Sharding splits measurement_time into n_shards equal
     slices with child RNG streams spawned from rng_seed.  The delay table
     is built once and shared, and each shard draws and correlates its
-    slice in chunks of time (see _simulate_shard).  With workers > 1 the
-    shards run on a pool of that many threads, with 1 in the calling
-    thread, and they merge in shard order, so the result is deterministic
-    for fixed (rng_seed, n_shards) regardless of workers.  ValidationError
-    is raised before anything is drawn when n_shards or workers is not an
-    integer of at least 1, or when a shard's expected tag count,
+    slice in chunks of time (see _simulate_shard).  The shards run on a
+    pool of min(workers, n_shards) threads, or in the calling thread when
+    that is 1, and they merge in shard order, so the result is
+    deterministic for fixed (rng_seed, n_shards) regardless of workers.
+    ValidationError is raised before anything is drawn when n_shards or
+    workers is not an integer of at least 1, when n_shards exceeds
+    MAX_SHARDS, or when a shard's expected tag count,
     (pair_rate*duty_cycle + background_s + background_as)*
     measurement_time/n_shards, or the bin count, tau_max/bin_width,
     exceeds MAX_SHARD_TAGS.
@@ -389,6 +368,9 @@ def simulate_coincidences(
     for name, value in (("n_shards", n_shards), ("workers", workers)):
         if _integer(name, value) < 1:
             raise ValidationError(f"{name} must be >= 1")
+    if n_shards > MAX_SHARDS:
+        raise ValidationError(f"n_shards must be <= MAX_SHARDS = {MAX_SHARDS}, "
+                              f"not {n_shards}")
     tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s
             + cfg.background_as) * cfg.measurement_time / n_shards
     if tags > MAX_SHARD_TAGS:
@@ -414,6 +396,7 @@ def simulate_coincidences(
             return _simulate_shard(table, cfg, t_slice, n_bins,
                                    np.random.default_rng(seed_seq))
 
+    workers = min(workers, n_shards)
     if workers == 1:
         # in the calling thread: a fresh worker thread per call allocates
         # from its own malloc arena, and the arenas it leaves behind raise

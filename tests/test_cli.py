@@ -285,10 +285,15 @@ def test_filter_with_two_identical_etalons(tmp_path):
     assert _g2_within_1e3_of_numeric(tmp_path / "wavepacket_filtered.csv", resolved)
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_montecarlo_without_workers_exits_2(workers, tmp_path, capsys):
-    assert main(["montecarlo", "--workers", workers, "--out", str(tmp_path)]) == 2
-    assert "workers must be >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize("flags, message", [
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--workers", "-1"], "workers must be >= 1"),
+    # no pool and no shard's RNG stream is made
+    (["--shards", "257"], "n_shards must be <= MAX_SHARDS = 256"),
+], ids=["0", "-1", "shards-257"])
+def test_montecarlo_without_workers_exits_2(flags, message, tmp_path, capsys):
+    assert main(["montecarlo", *flags, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "histogram.csv").exists()
 
 
@@ -389,7 +394,12 @@ def test_non_finite_result_exits_3_with_one_line(argv, tmp_path, capsys):
     ("0.5,3\n1.5\n", None),
     ("0.5,3\n", {"bin_width_ns": 1}),
     ("0.5,3\n", [1, 2]),
-], ids=["bad-cell", "short-row", "sidecar-without-singles", "sidecar-not-a-mapping"])
+    ("0.5,nan\n", None),
+    ("0.5,inf\n", None),
+    ("0.5,1e30\n", None),
+    ("0.5,2.5\n", None),
+], ids=["bad-cell", "short-row", "sidecar-without-singles", "sidecar-not-a-mapping",
+        "nan-count", "inf-count", "count-beyond-int64", "fractional-count"])
 def test_malformed_histogram_exits_4(rows, sidecar, tmp_path, capsys):
     data = tmp_path / "h.csv"
     data.write_text("tau_ns,counts\n" + rows)
@@ -399,6 +409,7 @@ def test_malformed_histogram_exits_4(rows, sidecar, tmp_path, capsys):
     assert main(["fit", "--data", str(data), "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err
 
 
 def test_missing_data_file_exits_4(tmp_path, capsys):

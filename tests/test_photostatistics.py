@@ -359,7 +359,7 @@ def _keys(stream_s, stream_as):
     return keys
 
 
-def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
+def test_correlation_matches_brute_force_with_exact_ties():
     # tags on a 2**-22 s lattice: differences, window and bin edges are
     # exact, so ties at t_as == t_s, at the window and on every bin edge
     # (bins are 4 lattice steps) are decided exactly by both sides
@@ -378,18 +378,6 @@ def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
     keys = _keys(stream_s, stream_as)
     got = _correlate(keys, window, n_bins, bin_width)
     assert np.array_equal(got, want)
-    # and in chunks of 2 * _BLOCK keys whose first tag has its
-    # predecessor within the window, or at the same time
-    times = (keys >> 1).view(np.float64)
-    ties = False
-    for block in (7, 64):
-        monkeypatch.setattr(photostatistics, "_BLOCK", block)
-        starts = np.arange(2 * block, len(keys), 2 * block)
-        ties |= np.any(times[starts - 1] == times[starts])
-        assert np.all(times[starts - 1] > times[starts] - window)
-        got = _correlate(keys, window, n_bins, bin_width)
-        assert np.array_equal(got, want)
-    assert ties
 
 
 @pytest.mark.parametrize("stream_s, stream_as", [
@@ -399,17 +387,18 @@ def test_correlation_matches_brute_force_with_exact_ties(monkeypatch):
     ([0.0], [0.0]),
     ([0.0, 0.0], [0.0, 3e-9, 3e-9]),
     ([0.0, 2e-8], [1e-8, 4e-8, 5e-8]),
+    # S, S, A, S, A, A in one window, the last S and A tied: the last A
+    # pairs in rounds 2, 4 and 5, past A predecessors in rounds 1 and 3
+    ([0.0, 1e-8, 2e-8], [1.5e-8, 2e-8, 3e-8]),
 ], ids=["empty", "no_antistokes", "no_stokes", "both_at_zero",
-        "ties_at_zero", "window_edges"])
-def test_correlation_of_edge_streams(monkeypatch, stream_s, stream_as):
+        "ties_at_zero", "window_edges", "mixed_in_one_window"])
+def test_correlation_of_edge_streams(stream_s, stream_as):
     stream_s, stream_as = np.array(stream_s, dtype=float), np.array(stream_as, dtype=float)
     window, n_bins, bin_width = 4e-8, 8, 5.0
     want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
-    for block in (1, 64):
-        monkeypatch.setattr(photostatistics, "_BLOCK", block)
-        got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+    got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_correlation_of_an_empty_stream_is_empty():
@@ -430,6 +419,36 @@ def test_oversized_shard_is_rejected_before_it_runs(monkeypatch):
                background_as=2000.0, measurement_time=tags / 1e4 * 4.0)
     with pytest.raises(ValidationError, match="n_shards to at least 5"):
         simulate_coincidences(MODEL, cfg, n_shards=4)
+
+
+def test_too_many_shards_are_rejected_before_they_run(monkeypatch):
+    monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
+    with pytest.raises(ValidationError, match="n_shards must be <= MAX_SHARDS = 256"):
+        simulate_coincidences(MODEL, _cfg(), n_shards=photostatistics.MAX_SHARDS + 1)
+
+
+def test_pool_has_no_more_threads_than_shards(monkeypatch):
+    sizes = []
+
+    class Pool:
+        # records its size and runs the shards in the calling thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(photostatistics, "ThreadPoolExecutor", Pool)
+    for n_shards in (3, 1):
+        simulate_coincidences(MODEL, _cfg(measurement_time=3.0), n_shards=n_shards, workers=64)
+    # one shard runs in the calling thread, with no pool
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("bin_width", [
@@ -472,12 +491,9 @@ def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
     return counts
 
 
-@pytest.mark.parametrize("block", [None, 5, 256])
-def test_key_correlation_equals_full_array_correlate(monkeypatch, block):
+def test_key_correlation_equals_full_array_correlate():
     # untied float times in s, dense enough that many tags have several
-    # partners and many walks cross chunk boundaries
-    if block:
-        monkeypatch.setattr(photostatistics, "_BLOCK", block)
+    # partners, some of them many predecessors back
     rng = np.random.default_rng(21)
     for n_s, n_as, span in ((3000, 2000, 2e-4), (500, 4000, 1e-3), (1, 1, 1e-7)):
         stream_s = np.sort(rng.random(n_s) * span)
