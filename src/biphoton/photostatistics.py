@@ -38,9 +38,11 @@ from .wavepacket import Wavepacket
 MAX_SHARD_TAGS = 50_000_000
 # the most shards one run may spawn, each with its own RNG stream
 MAX_SHARDS = 256
-# guide-table cells per delay-table node, and the expected tags (pairs
-# plus background singles) of one chunk of a shard
+# guide-table cells per delay-table node, the most cells of a guide (16
+# MiB as int32), and the expected tags (pairs plus background singles) of
+# one chunk of a shard
 _GUIDE_CELLS_PER_NODE = 16
+_GUIDE_MAX_CELLS = 1 << 22
 _CHUNK = 1 << 16
 
 
@@ -163,7 +165,8 @@ class _DelayTable:
     slope np.interp's slopes between them with 0 appended for the last
     node, and guide gives, for each of len(guide) equal cells of [0, 1),
     the one CDF segment that cell lies in, or -1 where a node falls
-    inside the cell.
+    inside the cell, in the narrowest signed integer type that holds the
+    node indices.
     """
 
     taus: np.ndarray
@@ -182,8 +185,9 @@ def _delay_table(model: Wavepacket) -> _DelayTable:
     The segment's quarters share its mass in proportion to the line from
     g[j] to g[j+1] at their midpoints.  The guide table (Chen & Asau,
     1974) splits [0, 1) into a power of two of equal cells, at least
-    _GUIDE_CELLS_PER_NODE per node, so u * cells is exact and a cell
-    holding no node lies inside a single segment.
+    _GUIDE_CELLS_PER_NODE per node up to _GUIDE_MAX_CELLS, so u * cells
+    is exact and a cell holding no node lies inside a single segment.
+    Above the cap, more cells hold a node, and more uniforms are searched.
     """
     pos = model.taus >= 0
     taus = model.taus[pos]
@@ -207,13 +211,14 @@ def _delay_table(model: Wavepacket) -> _DelayTable:
     # a zero-mass segment gets slope inf but is never some u's segment
     with np.errstate(divide="ignore"):
         slope = np.append(np.diff(taus) / np.diff(cdf), 0.0)
-    cells = 1 << int(np.ceil(np.log2(_GUIDE_CELLS_PER_NODE * len(cdf))))
-    # guide[c] = searchsorted(cdf, c / cells, "right") - 1, counted: node
-    # i has cdf[i] <= c / cells from cell ceil(cdf[i] * cells) on
+    cells = min(1 << int(np.ceil(np.log2(_GUIDE_CELLS_PER_NODE * len(cdf)))),
+                _GUIDE_MAX_CELLS)
+    # guide[c] = searchsorted(cdf, c / cells, "right") - 1: node i has
+    # cdf[i] <= c / cells from cell ceil(cdf[i] * cells) on, so it fills
+    # the cells from there to the next node's first
     first = np.minimum(np.ceil(cdf * cells), cells).astype(np.intp)
-    guide = np.bincount(first, minlength=cells + 1)[:cells]
-    np.cumsum(guide, out=guide)
-    guide -= 1
+    nodes = np.arange(len(cdf), dtype=np.min_scalar_type(-len(cdf)))
+    guide = np.repeat(nodes, np.diff(first, append=cells))
     guide[(cdf[cdf < 1.0] * cells).astype(np.intp)] = -1
     return _DelayTable(taus, cdf, slope, guide)
 
@@ -241,29 +246,57 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
     return x
 
 
+class _Scratch:
+    """Working arrays of one shard's chunk loop, never shared between
+    threads: the chunk's keys (see _correlate), and _correlate's arm bits,
+    window lower limits and window test, each room for n keys.
+    """
+
+    def __init__(self, n: int = 0) -> None:
+        self.keys = np.empty(n, dtype=np.uint64)
+        self.arm = np.empty(n, dtype=bool)
+        self.lim = np.empty(n)
+        self.inside = np.empty(n, dtype=bool)
+
+    def reserve(self, n: int) -> None:
+        """Grow to room for n keys, with a sixteenth to spare, unless they fit."""
+        if n > len(self.keys):
+            self.__init__(n + (n >> 4))
+
+
 def _correlate(keys: np.ndarray, window: float, n_bins: int,
-               bin_width: float) -> np.ndarray:
+               bin_width: float, scratch: _Scratch) -> np.ndarray:
     """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
 
     keys: both arms' sorted tags, each time (s) as its float64 bits
     shifted left by one, low bit 1 for anti-Stokes, so a Stokes tag comes
-    first at equal times; bin_width in ns.  Round k = 1, 2, ... bins, for
-    each anti-Stokes tag whose k-th predecessor lies in its window, the
-    pair with that predecessor if it is a Stokes tag.  A tag leaves at its
-    first predecessor outside the window, as every earlier one lies
-    outside too, and the rounds end when no tag is left.  Pairs are tested
-    and binned by the same float expressions as a search over two sorted
-    streams.
+    first at equal times; bin_width in ns.  The arm bits go to scratch,
+    and the keys are shifted right in place, so they hold the times when
+    this returns.  Round k = 1, 2, ... bins, for each anti-Stokes tag
+    whose k-th predecessor lies in its window, the pair with that
+    predecessor if it is a Stokes tag.  A tag leaves at its first
+    predecessor outside the window, as every earlier one lies outside
+    too, and the rounds end when no tag is left.  Pairs are tested and
+    binned by the same float expressions as a search over two sorted
+    streams, with each tag's window lower limit t - window computed once,
+    into scratch.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
-    t = (keys >> 1).view(np.float64)
-    lim = t - window
+    n = len(keys)
+    scratch.reserve(n)
+    arm = np.bitwise_and(keys, 1, out=scratch.arm[:n], casting="unsafe")
+    keys >>= 1
+    t = keys.view(np.float64)
+    lim = np.subtract(t, window, out=scratch.lim[:n])
     # the anti-Stokes tags whose predecessor lies in their window
-    i = np.flatnonzero(t[:-1] > lim[1:]) + 1
-    i = i[keys[i] & 1 == 1]
+    inside = scratch.inside[:n]
+    inside[:1] = False
+    np.greater(t[:-1], lim[1:], out=inside[1:])
+    i = np.flatnonzero(inside)
+    i = i[arm[i]]
     k = 1
     while i.size:
-        s = i[keys[i - k] & 1 == 0]
+        s = i[~arm[i - k]]
         # t_as >= t_s, so only a rounding past the last bin is clipped
         idx = ((t[s] - t[s - k]) * 1e9 / bin_width).astype(np.int64)
         np.minimum(idx, n_bins - 1, out=idx)
@@ -275,9 +308,10 @@ def _correlate(keys: np.ndarray, window: float, n_bins: int,
 
 
 def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
-                carry: np.ndarray, rng: np.random.Generator) -> tuple:
+                carry: np.ndarray, rng: np.random.Generator, scratch: _Scratch) -> tuple:
     """carry, then the keys (see _correlate) of one chunk [start, end) of
-    tags, unsorted, and the chunk's Stokes and anti-Stokes tag counts.
+    tags, unsorted, in scratch's key array, and the chunk's Stokes and
+    anti-Stokes tag counts.
 
     rates are those of coincident pairs, Stokes singles and anti-Stokes
     singles in 1/s (see DetectionConfig).  rng draws the three counts in
@@ -288,7 +322,9 @@ def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
     span = end - start
     n_pair, n_s, n_as = rng.poisson(rates * span).tolist()
     n_stokes = n_pair + n_s
-    keys = np.empty(len(carry) + n_stokes + n_pair + n_as, dtype=np.uint64)
+    n = len(carry) + n_stokes + n_pair + n_as
+    scratch.reserve(n)
+    keys = scratch.keys[:n]
     keys[:len(carry)] = carry
     t = keys[len(carry):].view(np.float64)
     pair_s, pair_as, single_as = t[:n_pair], t[n_stokes:n_stokes + n_pair], t[n_stokes + n_pair:]
@@ -315,8 +351,11 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
     Stokes keys within one window of the end, with every key at or after
     it, are carried on: each anti-Stokes tag meets all its partners once,
     and the counts equal one correlation of all the slice's tags.  The
-    carry left after the last chunk is correlated last.  Memory follows
-    the chunk, not t_slice.
+    carry left after the last chunk is correlated last.  One _Scratch
+    holds the chunk's keys and _correlate's working arrays for the whole
+    slice, and the carry is copied out of it before _correlate shifts
+    the keys, so no chunk allocates an array of its size, and memory
+    follows the chunk, not t_slice.
     """
     pairs, eff_s = cfg.pair_rate * cfg.duty_cycle, cfg.qe_stokes * cfg.channel_t_stokes
     eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
@@ -327,18 +366,20 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
     window = n_bins * cfg.bin_width * 1e-9
     counts = np.zeros(n_bins, dtype=np.int64)
     singles = np.zeros(2, dtype=np.int64)
+    scratch = _Scratch()
     carry = np.empty(0, dtype=np.uint64)
     for start, end in zip(edges, edges[1:]):
-        keys, *tags = _chunk_keys(table, rates, start, end, carry, rng)
+        keys, *tags = _chunk_keys(table, rates, start, end, carry, rng, scratch)
         singles += tags
         keys.sort()
         # Stokes keys at end and at one window before it (0 at the least)
         cuts = np.array([end, max(end - window, 0.0)]).view(np.uint64) << 1
-        done, after = np.split(keys, [keys.searchsorted(cuts[0])])
-        counts += _correlate(done, window, n_bins, cfg.bin_width)
+        cut = keys.searchsorted(cuts[0])
+        done = keys[:cut]
         near = done[done.searchsorted(cuts[1]):]
-        carry = np.concatenate([near[near & 1 == 0], after])
-    counts += _correlate(carry, window, n_bins, cfg.bin_width)
+        carry = np.concatenate([near[near & 1 == 0], keys[cut:]])
+        counts += _correlate(done, window, n_bins, cfg.bin_width, scratch)
+    counts += _correlate(carry, window, n_bins, cfg.bin_width, scratch)
     return CoincidenceHistogram(cfg.bin_width, counts, *singles.tolist(), t_slice)
 
 

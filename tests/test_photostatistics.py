@@ -26,7 +26,7 @@ from biphoton import (
     simulate_coincidences,
 )
 from biphoton import photostatistics
-from biphoton.photostatistics import _correlate, _delay_table, _delays
+from biphoton.photostatistics import _Scratch, _correlate, _delay_table, _delays
 from biphoton.wavepacket import Wavepacket
 
 MODEL_P = SystemParams(delta_c=28.3, omega_c=14.8)
@@ -341,6 +341,17 @@ def test_sampled_delays_equal_np_interp(model):
     assert np.array_equal(got, want)
 
 
+def test_guide_is_capped_on_a_large_grid():
+    # 250,000 points: 16 cells per node would make 2^24 cells; the cap
+    # keeps 2^22, and the uniforms in cells holding a node are searched
+    table = _delay_table(g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0,
+                                                                  n_points=250_000)))
+    assert len(table.guide) == photostatistics._GUIDE_MAX_CELLS
+    assert table.guide.nbytes <= 16 * 2 ** 20
+    u = np.random.default_rng(5).random(100_000)
+    assert np.array_equal(_delays(table, u), np.interp(u, table.cdf, table.taus))
+
+
 def _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width):
     counts = np.zeros(n_bins, dtype=np.int64)
     for t_as in stream_as.tolist():
@@ -376,7 +387,7 @@ def test_correlation_matches_brute_force_with_exact_ties():
     want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
     assert want.sum() > 1000
     keys = _keys(stream_s, stream_as)
-    got = _correlate(keys, window, n_bins, bin_width)
+    got = _correlate(keys, window, n_bins, bin_width, _Scratch())
     assert np.array_equal(got, want)
 
 
@@ -396,15 +407,18 @@ def test_correlation_of_edge_streams(stream_s, stream_as):
     stream_s, stream_as = np.array(stream_s, dtype=float), np.array(stream_as, dtype=float)
     window, n_bins, bin_width = 4e-8, 8, 5.0
     want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
-    got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
+    keys = _keys(stream_s, stream_as)
+    got = _correlate(keys, window, n_bins, bin_width, _Scratch())
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+    # the keys were shifted in place to the tags' times
+    assert np.array_equal(keys.view(np.float64), np.sort(np.concatenate([stream_s, stream_as])))
 
 
 def test_correlation_of_an_empty_stream_is_empty():
     tags = np.array([1e-6, 2e-6])
     for stream_s, stream_as in ((tags, tags[:0]), (tags[:0], tags)):
-        counts = _correlate(_keys(stream_s, stream_as), 1e-6, 4, 1.0)
+        counts = _correlate(_keys(stream_s, stream_as), 1e-6, 4, 1.0, _Scratch())
         assert counts.dtype == np.int64 and not counts.any()
 
 
@@ -493,14 +507,16 @@ def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
 
 def test_key_correlation_equals_full_array_correlate():
     # untied float times in s, dense enough that many tags have several
-    # partners, some of them many predecessors back
+    # partners, some of them many predecessors back; one scratch serves
+    # every call, growing from the first and reused by the last
     rng = np.random.default_rng(21)
+    scratch = _Scratch()
     for n_s, n_as, span in ((3000, 2000, 2e-4), (500, 4000, 1e-3), (1, 1, 1e-7)):
         stream_s = np.sort(rng.random(n_s) * span)
         stream_as = np.sort(rng.random(n_as) * span + rng.random(n_as) * 3e-7)
         for window, n_bins, bin_width in ((4e-7, 400, 1.0), (1e-6, 7, 150.0)):
             want = _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width)
-            got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width)
+            got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width, scratch)
             assert np.array_equal(got, want)
             assert want.sum() > (500 if n_s > 1 else -1)
 
@@ -597,8 +613,15 @@ CHUNKS = {"no_pairs": 1, "nothing": 1, "under_one_block": 1, "blocks_and_a_part"
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
+    sizes = []
     if case == "many_chunks":
         monkeypatch.setattr(photostatistics, "_CHUNK", 256)
+        init = _Scratch.__init__
+
+        def spy(self, n=0):
+            sizes.append(n)
+            init(self, n)
+        monkeypatch.setattr(_Scratch, "__init__", spy)
     cfg = _cfg(**{"measurement_time": 10.0, **ORACLE_CASES[case]})
     n_bins, t_slice = 400, cfg.measurement_time
     got = photostatistics._simulate_shard(_delay_table(MODEL), cfg, t_slice, n_bins,
@@ -613,6 +636,8 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
         # misses them
         alone = sum(_full_array_shard(cfg, t_slice, n_bins, [c]).counts.sum() for c in chunks)
         assert alone < 0.9 * got.counts.sum()
+        # the carry outgrows the scratch sized by the first chunk
+        assert len(sizes) > 2 and sizes[2] > sizes[1] > 0
     if case == "tags_past_the_end":
         assert np.count_nonzero(chunks[0][1] >= t_slice) > 0
 
@@ -647,6 +672,8 @@ def test_shard_memory_is_flat_in_measurement_time():
         tags.append(h.n_singles_s + h.n_singles_as)
     assert tags[0] > 1_500_000 and tags[1] > 9 * tags[0]
     assert peaks[1] <= 1.1 * peaks[0]
+    # one scratch per shard, and a guide of 2 B per cell at this grid
+    assert peaks[0] <= 2.4 * 2 ** 20
 
 
 def test_class_draws_match_per_pair_thinning():
