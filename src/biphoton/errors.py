@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and their one integer rule.
 
 Every error carries an exit code for the command-line front end:
 2 = invalid input, 3 = numerical failure, 4 = I/O failure.
 """
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -15,6 +17,13 @@ class ValidationError(ToolkitError):
     """Physically or structurally invalid input, rejected before computation."""
 
     exit_code = 2
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int; ValidationError unless an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 class DegenerateInputError(ValidationError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .filtering import estimate_beat_period_ns, modulation_depth_profile
 from .wavepacket import Wavepacket
 
@@ -48,6 +48,7 @@ class ModulationMask:
     samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_pulses", _integer("n_pulses", self.n_pulses))
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in ("kind", "samples") and not math.isfinite(value):

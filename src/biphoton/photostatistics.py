@@ -11,10 +11,12 @@ the flat accidental floor is S_s * S_as * t_c per bin and second.
 
 Each shard draws and correlates its slice of the measurement in time
 order, chunk by chunk (see _simulate_shard), so its memory follows the
-chunk, not the measurement time.  Delays are drawn by inverse CDF (see
-_delay_table) from G2 normalized over the histogram window.  Each shard
-has its own child RNG stream, so results are reproducible for a fixed
-(seed, n_shards); other shard counts give statistically equivalent, not
+chunk, not the measurement time, and returns its counts and singles;
+the run sums them into its one histogram, stamped with the configured
+measurement time.  Delays are drawn by inverse CDF (see _delay_table)
+from G2 normalized over the histogram window.  Each shard has its own
+child RNG stream, so results are reproducible for a fixed (seed,
+n_shards); other shard counts give statistically equivalent, not
 bit-identical, data.
 """
 
@@ -22,19 +24,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import reduce
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
+from .susceptibility import MAX_GRID_POINTS
 from .wavepacket import Wavepacket
 
-# expected tags one shard may generate, pairs plus background singles,
-# and the most histogram bins: it bounds a shard's work, not its memory,
-# which follows the chunk
+# expected tags one shard may generate, pairs plus background singles:
+# it bounds a shard's work, not its memory, which follows the chunk
 MAX_SHARD_TAGS = 50_000_000
 # the most shards one run may spawn, each with its own RNG stream
 MAX_SHARDS = 256
@@ -44,13 +44,6 @@ MAX_SHARDS = 256
 _GUIDE_CELLS_PER_NODE = 16
 _GUIDE_MAX_CELLS = 1 << 22
 _CHUNK = 1 << 16
-
-
-def _integer(name: str, value) -> int:
-    """value as a plain int; ValidationError unless an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -123,6 +116,9 @@ class CoincidenceHistogram:
             raise ValidationError("counts must be a non-empty 1-d array")
         if np.any(counts < 0):
             raise ValidationError("counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
+        for name in ("n_singles_s", "n_singles_as"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_singles_s < 0 or self.n_singles_as < 0:
             raise ValidationError("singles totals must be non-negative")
         if not (self.measurement_time > 0):
@@ -131,14 +127,6 @@ class CoincidenceHistogram:
     @property
     def bin_centers(self) -> np.ndarray:
         return (np.arange(len(self.counts)) + 0.5) * self.bin_width
-
-    def merged_with(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        if other.bin_width != self.bin_width or len(other.counts) != len(self.counts):
-            raise ValidationError("histograms must share binning to merge")
-        return CoincidenceHistogram(self.bin_width, self.counts + other.counts,
-                                    self.n_singles_s + other.n_singles_s,
-                                    self.n_singles_as + other.n_singles_as,
-                                    self.measurement_time + other.measurement_time)
 
 
 @dataclass(frozen=True)
@@ -340,8 +328,8 @@ def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
     return keys, n_stokes, n_pair + n_as
 
 
-def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
-                    n_bins: int, rng: np.random.Generator) -> CoincidenceHistogram:
+def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float, n_bins: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One slice of the measurement, drawn and correlated in time order.
 
     The slice [0, t_slice) is cut into equal chunks of about _CHUNK
@@ -355,7 +343,8 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
     holds the chunk's keys and _correlate's working arrays for the whole
     slice, and the carry is copied out of it before _correlate shifts
     the keys, so no chunk allocates an array of its size, and memory
-    follows the chunk, not t_slice.
+    follows the chunk, not t_slice.  Returns the slice's int64 counts
+    per bin and its (Stokes, anti-Stokes) singles totals.
     """
     pairs, eff_s = cfg.pair_rate * cfg.duty_cycle, cfg.qe_stokes * cfg.channel_t_stokes
     eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
@@ -380,7 +369,7 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float,
         carry = np.concatenate([near[near & 1 == 0], keys[cut:]])
         counts += _correlate(done, window, n_bins, cfg.bin_width, scratch)
     counts += _correlate(carry, window, n_bins, cfg.bin_width, scratch)
-    return CoincidenceHistogram(cfg.bin_width, counts, *singles.tolist(), t_slice)
+    return counts, singles
 
 
 def simulate_coincidences(
@@ -397,14 +386,17 @@ def simulate_coincidences(
     is built once and shared, and each shard draws and correlates its
     slice in chunks of time (see _simulate_shard).  The shards run on a
     pool of min(workers, n_shards) threads, or in the calling thread when
-    that is 1, and they merge in shard order, so the result is
+    that is 1; their counts and singles are summed in shard order into
+    one histogram with cfg.measurement_time, so the result is
     deterministic for fixed (rng_seed, n_shards) regardless of workers.
     ValidationError is raised before anything is drawn when n_shards or
     workers is not an integer of at least 1, when n_shards exceeds
-    MAX_SHARDS, or when a shard's expected tag count,
+    MAX_SHARDS, when a shard's expected tag count,
     (pair_rate*duty_cycle + background_s + background_as)*
-    measurement_time/n_shards, or the bin count, tau_max/bin_width,
-    exceeds MAX_SHARD_TAGS.
+    measurement_time/n_shards, exceeds MAX_SHARD_TAGS, when the bin
+    count, tau_max/bin_width, exceeds MAX_GRID_POINTS, or when the
+    float64 spacing of tag times at the end of a slice exceeds 1e-3 of a
+    bin.
     """
     for name, value in (("n_shards", n_shards), ("workers", workers)):
         if _integer(name, value) < 1:
@@ -412,27 +404,39 @@ def simulate_coincidences(
     if n_shards > MAX_SHARDS:
         raise ValidationError(f"n_shards must be <= MAX_SHARDS = {MAX_SHARDS}, "
                               f"not {n_shards}")
+    t_slice = cfg.measurement_time / n_shards
     tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s
-            + cfg.background_as) * cfg.measurement_time / n_shards
+            + cfg.background_as) * t_slice
     if tags > MAX_SHARD_TAGS:
         raise ValidationError(
             f"each shard would draw about {tags:.3g} tags, above "
             f"MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; raise n_shards to at "
             f"least {np.ceil(tags * n_shards / MAX_SHARD_TAGS):.0f}")
     bins = model.tau_max / cfg.bin_width
-    if not (bins <= MAX_SHARD_TAGS):
+    if not (bins <= MAX_GRID_POINTS):
         raise ValidationError(
             f"the histogram would have {bins:.3g} bins of {cfg.bin_width:g} ns, "
-            f"above MAX_SHARD_TAGS = {MAX_SHARD_TAGS:.0e}; widen bin_width")
+            f"above MAX_GRID_POINTS = {MAX_GRID_POINTS:,}; widen bin_width")
+    # tag times are absolute float64 seconds, so a delay is rounded to
+    # their spacing at the slice's end, which moves up to that fraction
+    # of a bin's mass; at 1e-3 of a bin it stays below the Poisson noise
+    # of any bin under 1e6 counts
+    resolution = 1e-3 * cfg.bin_width * 1e-9
+    if np.spacing(t_slice) > resolution:
+        longest = 2.0 ** (math.floor(math.log2(resolution)) + 53)
+        raise ValidationError(
+            f"tag times over a {t_slice:.3g}-s shard slice are spaced "
+            f"{np.spacing(t_slice):.3g} s, above 1e-3 of a {cfg.bin_width:g}-ns "
+            f"bin; raise n_shards to at least "
+            f"{math.floor(cfg.measurement_time / longest) + 1}, or widen bin_width")
     n_bins = max(1, int(round(bins)))
     table = _delay_table(model)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
-    t_slice = cfg.measurement_time / n_shards
     # numpy 2 keeps its error state per context, and a pool thread starts
     # from the default one: each shard runs under the caller's
     errstate = np.geterr()
 
-    def run(seed_seq) -> CoincidenceHistogram:
+    def run(seed_seq) -> tuple:
         with np.errstate(**errstate):
             return _simulate_shard(table, cfg, t_slice, n_bins,
                                    np.random.default_rng(seed_seq))
@@ -446,7 +450,9 @@ def simulate_coincidences(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(run, seeds))
-    return reduce(CoincidenceHistogram.merged_with, shards)
+    counts, singles = (sum(parts) for parts in zip(*shards))
+    return CoincidenceHistogram(cfg.bin_width, counts, *singles.tolist(),
+                                cfg.measurement_time)
 
 
 def expected_accidental_floor(h: CoincidenceHistogram) -> float:

@@ -25,10 +25,11 @@ from .errors import ValidationError
 from .params import DressedModes, SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
-# the most points of a time or frequency grid: a cold 2-s montecarlo
-# run's peak RSS is 134 MB at 2.5e5 time points and 393 MB at 1e6
-# (Python 3.11, numpy 2.4, x86-64), about 345 B per point, so a grid at
-# the bound needs about 1.1 GB
+# the most points of a time or frequency grid, and the most bins of a
+# Monte Carlo histogram: a cold 2-s montecarlo run's peak RSS is 134 MB
+# at 2.5e5 time points and 393 MB at 1e6 (Python 3.11, numpy 2.4,
+# x86-64), about 345 B per point, so a grid at the bound needs about
+# 1.1 GB; a bin costs 8 B per shard
 MAX_GRID_POINTS = 3_000_000
 
 

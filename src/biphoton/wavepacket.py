@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import GridError, ValidationError, _integer
 from .params import SystemParams, dressed_modes
 from .susceptibility import MAX_GRID_POINTS, ComplexSpectrum, approx_poles
 
@@ -54,6 +54,7 @@ class TimeGridConfig:
         for name in ("tau_min", "tau_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        object.__setattr__(self, "n_points", _integer("n_points", self.n_points))
         if not 16 <= self.n_points <= MAX_GRID_POINTS:
             raise ValidationError(
                 f"time grid needs 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points"

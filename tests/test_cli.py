@@ -117,6 +117,15 @@ def test_montecarlo_writes_histogram(tmp_path, capsys):
     assert meta["n_shards"] == 4
 
 
+def test_sharded_sidecar_keeps_the_measurement_time(tmp_path):
+    # three 7.7/3-s slices sum to 7.700000000000001 s
+    cfg = _write_config(tmp_path, "detection: {measurement_time: 7.7}\n")
+    assert main(["montecarlo", "--config", cfg, "--shards", "3",
+                 "--out", str(tmp_path)]) == 0
+    _, meta = read_histogram(tmp_path / "histogram.csv")
+    assert meta["measurement_time_s"] == meta["detection"]["measurement_time"] == 7.7
+
+
 def test_montecarlo_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -290,8 +299,13 @@ def test_filter_with_two_identical_etalons(tmp_path):
     (["--workers", "-1"], "workers must be >= 1"),
     # no pool and no shard's RNG stream is made
     (["--shards", "257"], "n_shards must be <= MAX_SHARDS = 256"),
-], ids=["0", "-1", "shards-257"])
+    # tag times near 1e9 s are spaced 1.2e-7 s, 119 of its 1-ns bins
+    (["--config", "detection: {measurement_time: 1.0e9, pair_rate: 1.0e-3}"],
+     "raise n_shards to at least 122071"),
+], ids=["0", "-1", "shards-257", "coarse-tag-times"])
 def test_montecarlo_without_workers_exits_2(flags, message, tmp_path, capsys):
+    if "--config" in flags:
+        flags = [*flags[:-1], _write_config(tmp_path, flags[-1] + "\n")]
     assert main(["montecarlo", *flags, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "histogram.csv").exists()
@@ -311,7 +325,7 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 def test_oversized_bin_count_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "detection: {bin_width_ns: 1.0e-7}\n")
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "above MAX_SHARD_TAGS" in capsys.readouterr().err
+    assert "above MAX_GRID_POINTS" in capsys.readouterr().err
     assert not (tmp_path / "histogram.csv").exists()
 
 

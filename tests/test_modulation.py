@@ -149,6 +149,8 @@ def test_mask_outside_support_raises():
     dict(n_pulses=0),
     dict(kind="custom_samples"),
     dict(kind="custom_samples", samples=np.array([0.5, 1.5])),
+    dict(n_pulses=2.5),
+    dict(n_pulses=True),
 ])
 def test_invalid_masks_rejected(kwargs):
     with pytest.raises(ValidationError):

@@ -225,17 +225,6 @@ def test_budget_report_mentions_every_factor():
     assert "15" in report  # 3.0 / 0.2
 
 
-def test_merged_histograms_add():
-    h1 = simulate_coincidences(MODEL, _cfg(rng_seed=1))
-    h2 = simulate_coincidences(MODEL, _cfg(rng_seed=2))
-    merged = h1.merged_with(h2)
-    assert merged.counts.sum() == h1.counts.sum() + h2.counts.sum()
-    assert merged.n_singles_s == h1.n_singles_s + h2.n_singles_s
-    assert merged.measurement_time == pytest.approx(
-        h1.measurement_time + h2.measurement_time
-    )
-
-
 def test_metadata_is_json_serializable():
     cfg = _cfg()
     h = simulate_coincidences(MODEL, cfg)
@@ -275,6 +264,15 @@ def test_invalid_configs_rejected():
     assert type(cfg.rng_seed) is int
     h = simulate_coincidences(MODEL, cfg, n_shards=np.int64(2), workers=np.int32(1))
     assert json.loads(json.dumps(histogram_metadata(h, cfg)))["seed"] == 5
+    # singles are integers, and the counts are kept as the array checked
+    for singles, name in (((2.5, 10), "n_singles_s"), ((10, True), "n_singles_as"),
+                          (("3", 10), "n_singles_s")):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            photostatistics.CoincidenceHistogram(1.0, [1, 2, 3], *singles, 1.0)
+    listed = photostatistics.CoincidenceHistogram(1.0, [1, 2, 3], np.int64(10), 10, 1.0)
+    assert type(listed.n_singles_s) is int
+    assert normalized_cross_correlation(listed).tolist() == pytest.approx(
+        [1e7, 2e7, 3e7])
     zero = MODEL.with_g2(np.zeros_like(MODEL.g2))
     with pytest.raises(ValidationError):
         simulate_coincidences(zero, _cfg())
@@ -467,12 +465,29 @@ def test_pool_has_no_more_threads_than_shards(monkeypatch):
 
 @pytest.mark.parametrize("bin_width", [
     1.0e-7,
-    MODEL.tau_max / (1.01 * photostatistics.MAX_SHARD_TAGS),
+    MODEL.tau_max / (1.01 * photostatistics.MAX_GRID_POINTS),
 ])
 def test_oversized_bin_count_is_rejected_before_it_runs(monkeypatch, bin_width):
     monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
-    with pytest.raises(ValidationError, match="bins .* above MAX_SHARD_TAGS"):
+    with pytest.raises(ValidationError, match="bins .* above MAX_GRID_POINTS"):
         simulate_coincidences(MODEL, _cfg(bin_width=bin_width))
+
+
+def test_coarse_tag_times_are_rejected_before_they_run(monkeypatch):
+    # at 1-ns bins a slice must stay below 2**13 s, where float64 times
+    # are spaced at most 2**-40 s, under 1e-3 of a bin; 2e4 s needs 3 shards
+    monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
+    cfg = _cfg(measurement_time=2.0e4, pair_rate=1.0e-3)
+    for n_shards in (1, 2):
+        with pytest.raises(ValidationError, match="raise n_shards to at least 3"):
+            simulate_coincidences(MODEL, cfg, n_shards=n_shards)
+    with pytest.raises(AssertionError, match="a shard ran"):
+        simulate_coincidences(MODEL, cfg, n_shards=3)
+    # one slice just under the bound passes, one at it does not
+    with pytest.raises(AssertionError, match="a shard ran"):
+        simulate_coincidences(MODEL, _cfg(measurement_time=np.nextafter(2.0 ** 13, 0)))
+    with pytest.raises(ValidationError, match="spaced 1.82e-12 s"):
+        simulate_coincidences(MODEL, _cfg(measurement_time=2.0 ** 13))
 
 
 def test_negative_seed_rejected():
@@ -568,17 +583,13 @@ def _per_pair_chunks(cfg, t_slice, rng):
     return chunks
 
 
-def _full_array_shard(cfg, t_slice, n_bins, chunks):
-    """The chunks' tags correlated all at once."""
+def _full_array_shard(cfg, n_bins, chunks):
+    """The chunks' tags correlated all at once: counts and singles, as a
+    shard returns them."""
     stream_s, stream_as = (np.sort(np.concatenate(arm)) for arm in zip(*chunks))
     window = n_bins * cfg.bin_width * 1e-9
-    return photostatistics.CoincidenceHistogram(
-        bin_width=cfg.bin_width,
-        counts=_full_array_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width),
-        n_singles_s=len(stream_s),
-        n_singles_as=len(stream_as),
-        measurement_time=t_slice,
-    )
+    counts = _full_array_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width)
+    return counts, np.array([len(stream_s), len(stream_as)])
 
 
 def _pairs_per_second(chunks, measurement_time=10.0, duty_cycle=0.2):
@@ -627,15 +638,15 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
     got = photostatistics._simulate_shard(_delay_table(MODEL), cfg, t_slice, n_bins,
                                           np.random.default_rng(cfg.rng_seed))
     chunks = _reference_chunks(cfg, t_slice, np.random.default_rng(cfg.rng_seed))
-    want = _full_array_shard(cfg, t_slice, n_bins, chunks)
+    want = _full_array_shard(cfg, n_bins, chunks)
     assert len(chunks) == CHUNKS[case]
-    assert np.array_equal(got.counts, want.counts)
-    assert (got.n_singles_s, got.n_singles_as) == (want.n_singles_s, want.n_singles_as)
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     if case == "many_chunks":
         # pairs across chunk ends count: each chunk correlated alone
         # misses them
-        alone = sum(_full_array_shard(cfg, t_slice, n_bins, [c]).counts.sum() for c in chunks)
-        assert alone < 0.9 * got.counts.sum()
+        alone = sum(_full_array_shard(cfg, n_bins, [c])[0].sum() for c in chunks)
+        assert alone < 0.9 * got[0].sum()
         # the carry outgrows the scratch sized by the first chunk
         assert len(sizes) > 2 and sizes[2] > sizes[1] > 0
     if case == "tags_past_the_end":
@@ -647,13 +658,20 @@ def test_sharded_run_equals_full_array_shards(workers):
     cfg = _cfg(measurement_time=30.0, pair_rate=_pairs_per_second(1.7, 10.0),
                background_s=1500.0, background_as=1000.0, rng_seed=12)
     got = simulate_coincidences(MODEL, cfg, n_shards=3, workers=workers)
-    shards = [_full_array_shard(cfg, 10.0, 400,
+    shards = [_full_array_shard(cfg, 400,
                                 _reference_chunks(cfg, 10.0, np.random.default_rng(s)))
               for s in np.random.SeedSequence(cfg.rng_seed).spawn(3)]
-    want = shards[0].merged_with(shards[1]).merged_with(shards[2])
-    assert np.array_equal(got.counts, want.counts)
-    assert (got.n_singles_s, got.n_singles_as) == (want.n_singles_s, want.n_singles_as)
-    assert got.measurement_time == want.measurement_time
+    counts, singles = (sum(parts) for parts in zip(*shards))
+    assert np.array_equal(got.counts, counts)
+    assert [got.n_singles_s, got.n_singles_as] == singles.tolist()
+    assert got.measurement_time == cfg.measurement_time
+
+
+def test_sharded_run_keeps_the_measurement_time():
+    # 7.7/3 summed three times is 7.700000000000001: the run's histogram
+    # carries the configured time, not a sum of slices
+    h = simulate_coincidences(MODEL, _cfg(measurement_time=7.7), n_shards=3)
+    assert h.measurement_time == 7.7
 
 
 def test_shard_memory_is_flat_in_measurement_time():
@@ -686,10 +704,9 @@ def test_class_draws_match_per_pair_thinning():
     for seed in range(24):
         h = simulate_coincidences(MODEL, dataclasses.replace(cfg, rng_seed=seed))
         got.append((h.n_singles_s, h.n_singles_as, h.counts.sum()))
-        ref = _full_array_shard(cfg, cfg.measurement_time, 400,
-                                _per_pair_chunks(cfg, cfg.measurement_time,
-                                                 np.random.default_rng(1000 + seed)))
-        want.append((ref.n_singles_s, ref.n_singles_as, ref.counts.sum()))
+        counts, singles = _full_array_shard(cfg, 400, _per_pair_chunks(
+            cfg, cfg.measurement_time, np.random.default_rng(1000 + seed)))
+        want.append((*singles, counts.sum()))
     got, want = np.array(got, dtype=float), np.array(want, dtype=float)
     diff = got.mean(axis=0) - want.mean(axis=0)
     sigma = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / len(got))

@@ -190,6 +190,12 @@ def test_non_finite_time_grid_rejected(name, value):
         TimeGridConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [100.5, 2000.0, True, "2000"])
+def test_non_integer_point_count_rejected(value):
+    with pytest.raises(ValidationError, match="n_points must be an integer"):
+        TimeGridConfig(n_points=value)
+
+
 def test_grid_too_narrow_rejected(detuned_params, default_grid):
     # spectrum still carrying power at the edges must be refused
     omegas = np.linspace(28.0, 33.0, 512)
