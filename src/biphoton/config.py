@@ -3,7 +3,7 @@
 Sections (all optional; physically sensible defaults apply):
 
     system:    gamma12, gamma14, delta_p, delta_c, omega_c, gamma13_mhz
-    grid:      tau_max_ns, n_points, tau_min_ns, freq_points
+    grid:      tau_max_ns, n_points, freq_points (delays run from 0)
     filter:    center_gamma13 (a number, "narrow" or "broad"), fwhm_mhz,
                fsr_ghz, peak_transmission (one etalon, or a list of them)
     detection: pair_rate, qe_stokes, qe_antistokes, channel_t_stokes,
@@ -230,7 +230,6 @@ _TABLES = {
     },
     "grid": {
         "tau_max_ns": ("tau_max", _num),
-        "tau_min_ns": ("tau_min", _num),
         **_same(_intval, "n_points", "freq_points"),
     },
     "filter": {

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import OutputError, ValidationError
+from .errors import OutputError, ValidationError, _integer
 from .photostatistics import CoincidenceHistogram
 
 
@@ -129,7 +129,9 @@ def write_histogram(
 
 def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     """Load a histogram CSV and its sidecar back into objects; OutputError
-    names the file when a count is not a whole number that int64 holds."""
+    names the file when a count is not a whole number that int64 holds,
+    or the sidecar when a field is missing or a singles total is not an
+    integer."""
     columns, _ = read_csv(path)
     if "tau_ns" not in columns or "counts" not in columns:
         raise OutputError(f"{path} lacks the tau_ns/counts schema")
@@ -148,14 +150,13 @@ def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     except json.JSONDecodeError as exc:
         raise OutputError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
     try:
-        h = CoincidenceHistogram(
-            bin_width=float(meta["bin_width_ns"]),
-            counts=counts.astype(np.int64),
-            n_singles_s=int(meta["n_singles_s"]),
-            n_singles_as=int(meta["n_singles_as"]),
-            measurement_time=float(meta["measurement_time_s"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fields = {
+            "bin_width": float(meta["bin_width_ns"]),
+            "n_singles_s": _integer("n_singles_s", meta["n_singles_s"]),
+            "n_singles_as": _integer("n_singles_as", meta["n_singles_as"]),
+            "measurement_time": float(meta["measurement_time_s"]),
+        }
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise OutputError(f"sidecar {sidecar} lacks a valid field: "
                           f"{type(exc).__name__}: {exc}") from exc
-    return h, meta
+    return CoincidenceHistogram(counts=counts.astype(np.int64), **fields), meta

@@ -137,25 +137,18 @@ def apply_mask(
     return w.with_g2(w.g2 * vals)
 
 
-def suggest_mask_start(
-    w: Wavepacket,
-    beat_period_ns: float | None = None,
-    threshold: float = 0.1,
-) -> float:
-    """First delay (ns) where the per-cycle beat depth falls below threshold.
+def suggest_mask_start(w: Wavepacket, beat_period_ns: float | None = None) -> float:
+    """First delay (ns) where the per-cycle beat depth falls below 0.1.
 
     Marks the end of the front oscillatory region, the natural place to
     open a shaping window on the smooth tail.
     """
-    if not (0 < threshold < 1):
-        raise ValidationError("threshold must be inside (0, 1)")
     if beat_period_ns is None:
         beat_period_ns = estimate_beat_period_ns(w)
     starts, depths = modulation_depth_profile(w, beat_period_ns)
-    below = np.nonzero(depths < threshold)[0]
+    below = np.nonzero(depths < 0.1)[0]
     if len(below) == 0:
         raise ValidationError(
-            "beat depth never falls below the threshold on this grid; "
-            "extend tau_max or raise the threshold"
+            "beat depth never falls below 0.1 on this grid; extend tau_max"
         )
     return float(starts[below[0]])

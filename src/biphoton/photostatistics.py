@@ -471,13 +471,11 @@ def normalized_cross_correlation(h: CoincidenceHistogram) -> np.ndarray:
                                             * (h.bin_width * 1e-9))
 
 
-def cauchy_schwarz(g_cross_max: float, g_auto_s: float = 2.0, g_auto_as: float = 2.0) -> float:
-    """Nonclassicality C = g_cross^2/(g_auto_s*g_auto_as); C > 1 violates the
-    classical bound.  Each unheralded arm's auto-correlation defaults to 2,
-    the chaotic-field value."""
-    if g_auto_s <= 0 or g_auto_as <= 0:
-        raise ValidationError("auto-correlations must be positive")
-    return g_cross_max ** 2 / (g_auto_s * g_auto_as)
+def cauchy_schwarz(g_cross_max: float) -> float:
+    """Nonclassicality C = g_cross^2/(g_auto_s*g_auto_as) = g_cross^2/4;
+    C > 1 violates the classical bound.  Each unheralded arm's
+    auto-correlation is 2, the chaotic-field value."""
+    return g_cross_max ** 2 / 4.0
 
 
 def loss_budget_rate(detected_rate: float, budget: LossBudget) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .params import DressedModes, SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
@@ -72,8 +72,7 @@ def default_frequency_grid(p: SystemParams, n_points: int | None = None) -> np.n
     margin >= 20*max(gamma_pm).  Point count defaults to 2**14.
     """
     d = dressed_modes(p)
-    if n_points is None:
-        n_points = DEFAULT_N_POINTS
+    n_points = _integer("n_points", DEFAULT_N_POINTS if n_points is None else n_points)
     if not 2 <= n_points <= MAX_GRID_POINTS:
         raise ValidationError(
             f"frequency grid needs 2 to MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points"

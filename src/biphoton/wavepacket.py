@@ -3,7 +3,7 @@
 The joint amplitude is psi(tau) = (1/2pi) * integral of chi(omega) *
 exp(-i*omega*tau) d(omega); the measured quantity is the Glauber
 correlation G2(tau) = |psi(tau)|^2, supported on tau >= 0 because chi
-is analytic in the lower half plane.
+is analytic in the lower half plane, so every delay grid is [0, tau_max].
 
 Two routes produce G2:
 
@@ -40,37 +40,30 @@ from .susceptibility import MAX_GRID_POINTS, ComplexSpectrum, approx_poles
 
 @dataclass(frozen=True)
 class TimeGridConfig:
-    """Uniform detection-delay grid in ns.
-
-    tau_min may be negative to inspect causality leakage; the physical
-    wavepacket lives on tau >= 0.
-    """
+    """Uniform grid of n_points detection delays on [0, tau_max] ns, where
+    the causal wavepacket lives."""
 
     tau_max: float = 400.0
     n_points: int = 2000
-    tau_min: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("tau_min", "tau_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        if not math.isfinite(self.tau_max):
+            raise ValidationError("tau_max must be finite")
         object.__setattr__(self, "n_points", _integer("n_points", self.n_points))
         if not 16 <= self.n_points <= MAX_GRID_POINTS:
             raise ValidationError(
                 f"time grid needs 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points"
             )
-        if not (self.tau_max > self.tau_min):
-            raise ValidationError("tau_max must exceed tau_min")
         if not (self.tau_max > 0):
             raise ValidationError("tau_max must be positive")
 
     @property
     def taus(self) -> np.ndarray:
-        return np.linspace(self.tau_min, self.tau_max, self.n_points)
+        return np.linspace(0.0, self.tau_max, self.n_points)
 
     @property
     def tau_step(self) -> float:
-        return (self.tau_max - self.tau_min) / (self.n_points - 1)
+        return self.tau_max / (self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ def psi_poles(
     """Exact transform of the rational spectrum scale / prod_k (omega - r_k).
 
     psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
-    for tau >= 0 and zero for tau < 0, the residue sum over the poles r_k
+    on the grid's delays tau >= 0, the residue sum over the poles r_k
     (gamma13 units), which must all lie in the lower half plane.  A pole
     listed m times contributes its order-m residue, the (m-1)-th Taylor
     coefficient about it of exp(-i*omega*tau) / prod_j (omega - q_j) over
@@ -155,9 +148,6 @@ def psi_poles(
     """
     poles = _merge_close_poles([complex(r) for r in poles])
     t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
-    # only tau >= 0: before it every exp(-i*r*t) grows and can overflow
-    late = t >= 0
-    t_late = t[late]
     psi = np.zeros(len(t), dtype=complex)
     for r, order in Counter(poles).items():
         d = np.array([q - r for q in poles if q != r], dtype=complex)
@@ -166,13 +156,13 @@ def psi_poles(
         # n*a_n = sum_k c_k*a_{n-1-k}
         c = [np.sum(d ** -(k + 1)) for k in range(order - 1)]
         if order > 1:
-            c[0] = c[0] - 1j * t_late
-        a = [np.exp(-1j * r * t_late) / np.prod(-d)]
+            c[0] = c[0] - 1j * t
+        a = [np.exp(-1j * r * t) / np.prod(-d)]
         for n in range(1, order):
             a.append(sum(c[k] * a[n - 1 - k] for k in range(n)) / n)
-        psi[late] += a[-1]
+        psi += a[-1]
     psi *= -1j * scale
-    return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)
+    return Wavepacket(0.0, grid.tau_step, np.abs(psi) ** 2, psi)
 
 
 def g2_analytic(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepacket:
@@ -180,7 +170,7 @@ def g2_analytic(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepack
 
     G2(tau) = |C|^2 * [exp(-2*g+*tau) + exp(-2*g-*tau)
               - 2*cos(omega_e*tau)*exp(-(g+ + g-)*tau)] for tau >= 0,
-    zero for tau < 0, with C = i / (4*(delta_p + i*gamma14)
+    with C = i / (4*(delta_p + i*gamma14)
     * (pole_n - pole_b)): psi_poles over approx_poles, so psi_numeric
     reproduces this curve in absolute units, not just in shape.
     """
@@ -207,11 +197,10 @@ def g2_resonant(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepack
         raise ValidationError("resonant form needs omega_c > 0")
     t = grid.taus / p.time_unit_ns
     amp2 = abs(1.0 / (4.0 * (p.delta_p + 1j * p.gamma14) * p.omega_c)) ** 2
-    env = np.exp(-(p.gamma13 + p.gamma12) * np.clip(t, 0.0, None))
+    env = np.exp(-(p.gamma13 + p.gamma12) * t)
     g2 = 2.0 * amp2 * env * (1.0 - np.cos(p.omega_c * t))
-    g2[t < 0] = 0.0
     np.maximum(g2, 0.0, out=g2)
-    return Wavepacket(grid.tau_min, grid.tau_step, g2, None)
+    return Wavepacket(0.0, grid.tau_step, g2, None)
 
 
 def _fast_len(n: int) -> int:
@@ -227,15 +216,15 @@ def _fast_len(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _chirp(n: int, m: int, w: complex, a: complex):
-    """Input scaling a^-k * w^(k^2/2), the chirp's FFT and the output chirp.
+def _chirp(n: int, m: int, w: complex):
+    """The chirp w^(k^2/2) for k < max(n, m) and the FFT of its inverse.
 
-    The powers are exp(e * log(w)) from one complex log of each scalar,
-    equal bit for bit to numpy's w ** e: numpy expands an integer
-    exponent in (-100, 100) by repeated multiplication and hands every
-    other exponent to libm cpow, which glibc computes as cexp(e * clog(w)).
+    The powers are exp(e * log(w)) from one complex log of w, equal bit
+    for bit to numpy's w ** e: numpy expands an integer exponent in
+    (-100, 100) by repeated multiplication and hands every other
+    exponent to libm cpow, which glibc computes as cexp(e * clog(w)).
     So ** is kept only for the leading entries with such an exponent,
-    k <= 14 for w^(k^2/2) and k < 100 for a^-k.
+    k <= 14.
 
     Depends only on the grids, so the filtered and the unfiltered
     spectrum of one run share it; only that last entry is kept, because
@@ -246,34 +235,26 @@ def _chirp(n: int, m: int, w: complex, a: complex):
     wk2 = (k ** 2 / 2.0) * np.log(w)
     np.exp(wk2, out=wk2)
     wk2[:15] = w ** (k[:15] ** 2 / 2.0)
-    awk2 = -k[:n] * np.log(complex(a))  # complex for a real a too
-    np.exp(awk2, out=awk2)
-    awk2[:100] = a ** -k[:min(n, 100)]
-    # in place but in the order of a**-k * wk2: numpy's complex multiply
-    # rounds by operand order, not by where it writes
-    awk2 *= wk2[:n]
     fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), _fast_len(n + m - 1))
-    wk2 = wk2[:m].copy()
-    for arr in (awk2, fwk2, wk2):
+    for arr in (wk2, fwk2):
         arr.flags.writeable = False
-    return awk2, fwk2, wk2
+    return wk2, fwk2
 
 
-def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
-    """sum_j x_j * z_k^-j at z_k = a * w^-k, k < m, by Bluestein's algorithm.
+def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+    """sum_j x_j * w^(j*k) for k < m, the chirp-z transform at z_k = w^-k
+    from z_0 = 1, by Bluestein's algorithm.
 
-    Same steps, operand order and FFT length as the library czt that
-    tests/test_wavepacket.py compares it with, bit for bit.  The library
-    raises w and a to each power with **; _chirp takes the same powers
+    Same steps, operand order and FFT length as the library czt at a = 1
+    that tests/test_wavepacket.py compares it with, bit for bit.  The
+    library raises w to each power with **; _chirp takes the same powers
     as exp(e * log(w)), which glibc's cpow computes too, and keeps **
     where numpy multiplies out an integer power instead.
     """
     n = len(x)
-    awk2, fwk2, wk2 = _chirp(n, m, w, a)
-    # x times a named array: numpy would compute an inline temporary
-    # product in place with the operands swapped, which rounds differently
-    y = np.fft.ifft(fwk2 * np.fft.fft(x * awk2, len(fwk2)))
-    return y[n - 1:n + m - 1] * wk2
+    wk2, fwk2 = _chirp(n, m, w)
+    y = np.fft.ifft(fwk2 * np.fft.fft(x * wk2[:n], len(fwk2)))
+    return y[n - 1:n + m - 1] * wk2[:m]
 
 
 def psi_numeric(
@@ -288,7 +269,7 @@ def psi_numeric(
     (omega - z)^-n, z at the grid centre 0.05 half-spans below the real
     axis, fitted to both edge windows at once; R is transformed exactly
     by its residue at z, and values - R with trapezoid weights by a
-    chirp-z transform on the uniform tau grid.  Every grid takes this path.
+    chirp-z transform on the uniform grid of delays from 0 to tau_max.
 
     Accuracy against psi_poles on default_frequency_grid and the default
     delay grid, over 47 operating points (delta_c -50..50, omega_c 5..30),
@@ -300,9 +281,9 @@ def psi_numeric(
     conversion (default parameters are used when omitted).
 
     Preconditions checked: the spectral power must have decayed at both
-    grid edges (coverage), and the requested delays must stay inside
-    half the alias period pi/omega_step, beyond which the trapezoid sum
-    undersamples the exp(-i*omega*tau) oscillation.
+    grid edges (coverage), and tau_max must stay inside half the alias
+    period pi/omega_step, beyond which the trapezoid sum undersamples
+    the exp(-i*omega*tau) oscillation.
     """
     if grid is None:
         grid = TimeGridConfig()
@@ -321,8 +302,7 @@ def psi_numeric(
             "spectral power has not decayed at the grid edges; widen the span"
         )
 
-    tau_reach_u = max(abs(grid.tau_max), abs(grid.tau_min)) / p.time_unit_ns
-    if tau_reach_u > np.pi / spectrum.omega_step:
+    if grid.tau_max / p.time_unit_ns > np.pi / spectrum.omega_step:
         raise GridError(
             "delay range exceeds the frequency-grid resolution limit "
             "pi/omega_step; use more frequency points or shorter delays"
@@ -345,24 +325,20 @@ def psi_numeric(
     weights = np.full(len(vals), dw)
     weights[0] = weights[-1] = 0.5 * dw
 
-    # sum_j x_j exp(-i*omega_j*tau_k) as a chirp-z transform on the
-    # uniform tau grid: z_k = a*w^-k with the phasors below
+    # sum_j x_j exp(-i*omega_j*tau_k) as a chirp-z transform: with
+    # tau_k = k*tau_step, exp(-i*(omega_j - omega_min)*tau_k) = w^(j*k)
     x = rest * weights
-    wphase = np.exp(-1j * dw * tau_step_u)
-    aphase = np.exp(1j * dw * taus_u[0])
-    psi = _czt(x, len(taus_u), wphase, aphase)
+    psi = _czt(x, len(taus_u), np.exp(-1j * dw * tau_step_u))
     psi *= np.exp(-1j * spectrum.omega_min * taus_u)
     psi /= 2.0 * np.pi
 
     # R's transform, the residue at z: -i*exp(-i*z*tau) *
-    # sum_n c_n (-i*tau)^(n-1)/(n-1)! for tau >= 0 and zero before,
-    # where exp(-i*z*tau) would overflow
-    late = taus_u >= 0
-    s = -1j * taus_u[late]
+    # sum_n c_n (-i*tau)^(n-1)/(n-1)!
+    s = -1j * taus_u
     poly = s * (c[0] + s * (c[1] / 2 + s * (c[2] / 6 + s * c[3] / 24)))
-    psi[late] -= 1j * np.exp(z * s) * poly
+    psi -= 1j * np.exp(z * s) * poly
 
-    return Wavepacket(grid.tau_min, grid.tau_step, np.abs(psi) ** 2, psi)
+    return Wavepacket(0.0, grid.tau_step, np.abs(psi) ** 2, psi)
 
 
 def spectrum_power(spectrum: ComplexSpectrum) -> np.ndarray:

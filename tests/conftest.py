@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from biphoton import SystemParams, TimeGridConfig
+
+# the same examples on every run, and no per-example deadline, which a
+# loaded machine would turn into a failure unrelated to the code
+settings.register_profile("biphoton", derandomize=True, database=None, deadline=None)
+settings.load_profile("biphoton")
 
 
 @pytest.fixture

@@ -412,8 +412,11 @@ def test_non_finite_result_exits_3_with_one_line(argv, tmp_path, capsys):
     ("0.5,inf\n", None),
     ("0.5,1e30\n", None),
     ("0.5,2.5\n", None),
+    ("0.5,3\n", {"bin_width_ns": 1.0, "n_singles_s": 4743.9, "n_singles_as": 10,
+                 "measurement_time_s": 1.0}),
 ], ids=["bad-cell", "short-row", "sidecar-without-singles", "sidecar-not-a-mapping",
-        "nan-count", "inf-count", "count-beyond-int64", "fractional-count"])
+        "nan-count", "inf-count", "count-beyond-int64", "fractional-count",
+        "fractional-singles"])
 def test_malformed_histogram_exits_4(rows, sidecar, tmp_path, capsys):
     data = tmp_path / "h.csv"
     data.write_text("tau_ns,counts\n" + rows)

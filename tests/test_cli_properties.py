@@ -67,8 +67,7 @@ def _finite_csv(path: Path) -> bool:
     return all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sub=st.sampled_from(sorted(COMMANDS)), config=configs())
 def test_every_config_ends_cleanly(sub, config, histogram, capsys):
     capsys.readouterr()

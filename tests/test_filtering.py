@@ -158,16 +158,6 @@ def test_filtered_wavepacket_single_exponential(default_grid):
     assert -slope == pytest.approx(2.0 * d.gamma_minus, rel=0.05)
 
 
-def test_filtered_wavepacket_still_causal(default_grid):
-    p = SystemParams(delta_c=28.3, omega_c=16.0)
-    spec = chi3_full(p, default_frequency_grid(p))
-    f = narrowband_etalon(narrow_mode_center(p), p)
-    grid = TimeGridConfig(tau_min=-150.0, tau_max=250.0, n_points=2001)
-    w = psi_numeric(apply_filter(spec, f), grid, p)
-    leak = w.g2[w.taus < -1.0].max()
-    assert leak < 1e-4 * w.g2.max()
-
-
 def test_beat_period_estimator_accuracy():
     from biphoton import beat_period
 
@@ -283,17 +273,6 @@ def test_repeated_pole_is_the_limit_of_split_poles(order, default_grid):
     split = [r + 1e-3 * np.exp(2j * np.pi * k / order) for k in range(order)]
     near = psi_poles(1.0, split + [other], default_grid, p).psi
     assert np.max(np.abs(near - exact)) < 1e-5 * np.max(np.abs(exact))
-
-
-@pytest.mark.filterwarnings("error")
-def test_filtered_wavepacket_zero_before_origin(detuned_params):
-    # a broadband etalon's fast pole would overflow exp(-i*r*tau) at
-    # tau << 0, where the causal wavepacket is exactly zero
-    p = detuned_params
-    grid = TimeGridConfig(tau_min=-600.0, tau_max=400.0, n_points=2000)
-    w = filtered_wavepacket(p, [broadband_etalon(narrow_mode_center(p), p)], grid)
-    assert np.all(w.g2[w.taus < 0] == 0)
-    assert w.g2.max() > 0
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from biphoton import (
     SystemParams,
+    ValidationError,
     approx_poles,
     chi3_approx,
     chi3_full,
@@ -229,3 +230,8 @@ def test_grid_is_centered_and_wide(detuned_params):
     assert om[0] < center < om[-1]
     # both poles well inside
     assert om[0] < d.delta_plus - 10 and d.delta_minus + 10 < om[-1]
+
+
+def test_non_integer_frequency_point_count_rejected(detuned_params):
+    with pytest.raises(ValidationError, match="n_points must be an integer"):
+        default_frequency_grid(detuned_params, n_points=100.5)
