@@ -437,12 +437,20 @@ def _fft_beat(
     if k + 3 >= len(power) or k - 3 < 1:
         return 1.0, False
     local = 0.5 * (power[k - 3] + power[k + 3])
-    floor = np.median(power[k_min:])
+    floor = _median(power[k_min:])
     significant = bool(power[k] > 3.0 * local and power[k] > 10.0 * floor)
     dt = float(taus[1] - taus[0])
     freq_per_ns = _parabolic_peak(power, k) / (n * dt)
     omega_e = 2.0 * np.pi * freq_per_ns * time_unit_ns
     return float(omega_e), significant
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, from one partition; np.median
+    itself imports numpy.ma on its first call."""
+    mid = len(x) // 2
+    part = np.partition(x, (mid - 1, mid))
+    return part[mid] if len(x) % 2 else (part[mid - 1] + part[mid]) / 2
 
 
 def _envelope_decay(

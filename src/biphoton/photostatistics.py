@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -114,8 +113,8 @@ class CoincidenceHistogram:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or len(counts) == 0:
             raise ValidationError("counts must be a non-empty 1-d array")
-        if np.any(counts < 0):
-            raise ValidationError("counts must be non-negative")
+        if not np.all((counts >= 0) & np.isfinite(counts)):
+            raise ValidationError("counts must be finite and non-negative")
         object.__setattr__(self, "counts", counts)
         for name in ("n_singles_s", "n_singles_as"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
@@ -297,15 +296,17 @@ def _correlate(keys: np.ndarray, window: float, n_bins: int,
 
 def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
                 carry: np.ndarray, rng: np.random.Generator, scratch: _Scratch) -> tuple:
-    """carry, then the keys (see _correlate) of one chunk [start, end) of
-    tags, unsorted, in scratch's key array, and the chunk's Stokes and
+    """The keys of one chunk [start, end) of tags, and its new Stokes and
     anti-Stokes tag counts.
 
-    rates are those of coincident pairs, Stokes singles and anti-Stokes
-    singles in 1/s (see DetectionConfig).  rng draws the three counts in
-    that order, then, straight into the keys, the pairs' times, uniform
-    in the chunk, their delays, and the Stokes and then the anti-Stokes
-    singles' times, uniform in the chunk.  No tag lies before start.
+    _simulate_shard relies on this contract alone: the keys lie in
+    scratch's key array, carry first and unchanged, then the new tags'
+    keys (see _correlate), unsorted, and no new tag lies before start.
+    rates are those of coincident pairs, Stokes singles and
+    anti-Stokes singles in 1/s (see DetectionConfig).  rng draws the three
+    counts in that order, then, straight into the keys, the pairs' times,
+    uniform in the chunk, their delays, and the Stokes and then the
+    anti-Stokes singles' times, uniform in the chunk.
     """
     span = end - start
     n_pair, n_s, n_as = rng.poisson(rates * span).tolist()
@@ -448,6 +449,9 @@ def simulate_coincidences(
         # the process's peak memory from call to call
         shards = list(map(run, seeds))
     else:
+        # imported here, so a run without a pool never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(run, seeds))
     counts, singles = (sum(parts) for parts in zip(*shards))

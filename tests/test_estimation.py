@@ -145,6 +145,15 @@ def test_initial_guess_no_beat_suggests_single_exponential():
     assert guess["omega_e"] is None
 
 
+@pytest.mark.parametrize("n", [6, 7, 200, 201])
+def test_median_floor_equals_np_median(n):
+    # the beat test's floor, on power-like values with and without ties
+    rng = np.random.default_rng(n)
+    for x in (rng.exponential(size=n) * 1e6, np.round(rng.random(n), 1)):
+        got, want = estimation._median(x), np.median(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_flat_data_rejected():
     from biphoton import CoincidenceHistogram
 

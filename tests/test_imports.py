@@ -37,6 +37,29 @@ print(json.dumps(seen))
     assert seen == {"import": [], "dressed": [], "sweep": [], "wavepacket": []}
 
 
+def test_only_a_worker_pool_loads_concurrent_futures(tmp_path):
+    # the pool is imported where a run starts one, so the CLI's import and
+    # its single-threaded runs skip concurrent.futures and logging
+    config = tmp_path / "run.yaml"
+    config.write_text("detection:\n  measurement_time: 1.0\n")
+    out = str(tmp_path)
+    seen = _run(f"""
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+import biphoton.cli
+seen = {{"import": loaded()}}
+for sub, flags in (("dressed", ["--delta-c", "28.3"]), ("sweep", []),
+                   ("wavepacket", ["--delta-c", "28.3"]),
+                   ("montecarlo", ["--config", {str(config)!r}, "--shards", "2",
+                                   "--workers", "2"])):
+    assert biphoton.cli.main([sub, *flags, "--out", {out!r}]) == 0
+    seen[sub] = loaded()
+print(json.dumps(seen))
+""")
+    assert seen.pop("montecarlo")[:2] == ["concurrent", "concurrent.futures"]
+    assert seen == {"import": [], "dressed": [], "sweep": [], "wavepacket": []}
+
+
 def test_filtered_cli_runs_load_no_scipy(tmp_path):
     # filtered models are transformed by the residue sum, not psi_numeric
     config = tmp_path / "run.yaml"
@@ -73,9 +96,11 @@ assert biphoton.cli.main(["montecarlo", "--config", {str(config)!r}, "--out", {o
 seen["montecarlo"] = scipy()
 assert biphoton.cli.main(["fit", "--data", {data!r}, "--out", {out!r}]) == 0
 seen["fit"] = scipy()
+# np.median would import numpy.ma, about 10 ms of a cold fit
+seen["numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(seen))
 """)
-    assert seen == {"montecarlo": [], "fit": []}
+    assert seen == {"montecarlo": [], "fit": [], "numpy.ma": False}
     assert "converged: True" in (tmp_path / "fit_result.txt").read_text()
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo coincidence generation, normalization, and loss budgets."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -267,6 +268,11 @@ def test_invalid_configs_rejected():
                           (("3", 10), "n_singles_s")):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             photostatistics.CoincidenceHistogram(1.0, [1, 2, 3], *singles, 1.0)
+    # NaN passes a test for negative counts, and +inf passes it too
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="counts must be finite and non-negative"):
+            photostatistics.CoincidenceHistogram(1.0, np.array([1.0, bad, 3.0] * 40),
+                                                 10, 10, 1.0)
     listed = photostatistics.CoincidenceHistogram(1.0, [1, 2, 3], np.int64(10), 10, 1.0)
     assert type(listed.n_singles_s) is int
     assert normalized_cross_correlation(listed).tolist() == pytest.approx(
@@ -453,7 +459,7 @@ def test_pool_has_no_more_threads_than_shards(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(photostatistics, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     for n_shards in (3, 1):
         simulate_coincidences(MODEL, _cfg(measurement_time=3.0), n_shards=n_shards, workers=64)
     # one shard runs in the calling thread, with no pool
@@ -495,7 +501,7 @@ def test_negative_seed_rejected():
 
 # the correlation as it was before both arms shared one key array: one
 # search over all anti-Stokes tags; kept verbatim as the oracle of the
-# chunked shard, with the draws of _reference_chunks
+# chunk loop, which _GivenTags feeds tags the tests choose
 
 def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -537,28 +543,6 @@ def _chunk_edges(cfg, t_slice):
     tags = (cfg.pair_rate * cfg.duty_cycle + cfg.background_s + cfg.background_as) * t_slice
     edges = np.linspace(0.0, t_slice, max(1, math.ceil(tags / photostatistics._CHUNK)) + 1)
     return zip(edges[:-1], edges[1:])
-
-
-def _reference_chunks(cfg, t_slice, rng):
-    """The shard's tags drawn chunk by chunk in its order on rng, by
-    detection class, with whole arrays and np.interp on the delay table's
-    nodes: one (Stokes, anti-Stokes) pair of time arrays per chunk."""
-    table = _delay_table(MODEL)
-    pairs = cfg.pair_rate * cfg.duty_cycle
-    eff_s = cfg.qe_stokes * cfg.channel_t_stokes
-    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
-    chunks = []
-    for start, end in _chunk_edges(cfg, t_slice):
-        span = end - start
-        n_pair = rng.poisson(pairs * eff_s * eff_as * span)
-        n_s = rng.poisson((pairs * eff_s * (1 - eff_as) + cfg.background_s) * span)
-        n_as = rng.poisson((pairs * (1 - eff_s) * eff_as + cfg.background_as) * span)
-        t_s = rng.random(n_pair) * span + start
-        t_as = np.interp(rng.random(n_pair), table.cdf, table.taus) * 1e-9 + t_s
-        single_s = rng.random(n_s) * span + start
-        single_as = rng.random(n_as) * span + start
-        chunks.append((np.concatenate([t_s, single_s]), np.concatenate([t_as, single_as])))
-    return chunks
 
 
 def _per_pair_chunks(cfg, t_slice, rng):
@@ -619,6 +603,58 @@ CHUNKS = {"no_pairs": 1, "nothing": 1, "under_one_block": 1, "blocks_and_a_part"
           "tags_past_the_end": 1}
 
 
+class _GivenTags:
+    """A stand-in for _chunk_keys that keeps its contract on tags a test
+    chooses: tags(start, end, rates, rng) gives a chunk's Stokes and
+    anti-Stokes times, none before start, and the source writes the carry
+    and then their keys (see _correlate) into the shard's scratch.  Each
+    shard's chunks are recorded as (start, end, stokes, anti-Stokes) under
+    the shard's rng."""
+
+    def __init__(self, tags):
+        self.tags = tags
+        self.shards = {}
+
+    def __call__(self, table, rates, start, end, carry, rng, scratch):
+        stokes, anti = (np.asarray(arm, dtype=float)
+                        for arm in self.tags(start, end, rates, rng))
+        assert np.all(stokes >= start) and np.all(anti >= start)
+        self.shards.setdefault(rng, []).append((start, end, stokes, anti))
+        n = len(carry) + len(stokes) + len(anti)
+        scratch.reserve(n)
+        keys = scratch.keys[:n]
+        keys[:len(carry)] = carry
+        keys[len(carry):] = _keys(stokes, anti)
+        return keys, len(stokes), len(anti)
+
+
+def _own_tags(window):
+    """The tests' own tags of a chunk, at the class rates the shard passes:
+    Poisson counts, times uniform in the chunk, and pair delays uniform
+    over 1.25 windows, so that some pairs fall outside the window."""
+    def tags(start, end, rates, rng):
+        n_pair, n_s, n_as = rng.poisson(rates * (end - start))
+        stokes = start + (end - start) * rng.random(n_pair + n_s)
+        anti = np.concatenate([stokes[:n_pair] + 1.25 * window * rng.random(n_pair),
+                               start + (end - start) * rng.random(n_as)])
+        return stokes, anti
+    return tags
+
+
+def _given_shard(monkeypatch, cfg, n_bins, tags):
+    """One shard over cfg's whole measurement on given tags: its counts and
+    singles, and each chunk's (Stokes, anti-Stokes) times."""
+    source = _GivenTags(tags)
+    monkeypatch.setattr(photostatistics, "_chunk_keys", source)
+    got = photostatistics._simulate_shard(None, cfg, cfg.measurement_time, n_bins,
+                                          np.random.default_rng(cfg.rng_seed))
+    (chunks,) = source.shards.values()
+    starts, ends = zip(*(chunk[:2] for chunk in chunks))
+    # the chunks tile the slice
+    assert starts[0] == 0.0 and ends[-1] == cfg.measurement_time and starts[1:] == ends[:-1]
+    return got, [chunk[2:] for chunk in chunks]
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
     sizes = []
@@ -631,10 +667,9 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
             init(self, n)
         monkeypatch.setattr(_Scratch, "__init__", spy)
     cfg = _cfg(**{"measurement_time": 10.0, **ORACLE_CASES[case]})
-    n_bins, t_slice = 400, cfg.measurement_time
-    got = photostatistics._simulate_shard(_delay_table(MODEL), cfg, t_slice, n_bins,
-                                          np.random.default_rng(cfg.rng_seed))
-    chunks = _reference_chunks(cfg, t_slice, np.random.default_rng(cfg.rng_seed))
+    n_bins = 400
+    got, chunks = _given_shard(monkeypatch, cfg, n_bins,
+                               _own_tags(n_bins * cfg.bin_width * 1e-9))
     want = _full_array_shard(cfg, n_bins, chunks)
     assert len(chunks) == CHUNKS[case]
     assert got[0].dtype == got[1].dtype == np.int64
@@ -647,21 +682,106 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
         # the carry outgrows the scratch sized by the first chunk
         assert len(sizes) > 2 and sizes[2] > sizes[1] > 0
     if case == "tags_past_the_end":
-        assert np.count_nonzero(chunks[0][1] >= t_slice) > 0
+        assert np.count_nonzero(chunks[0][1] >= cfg.measurement_time) > 0
+
+
+def _lattice(seed):
+    """24 Stokes and 24 anti-Stokes times per chunk on a 1/16-s lattice,
+    chunk ends included: ties at every edge the loop tests."""
+    rng = np.random.default_rng(seed)
+    return {k: tuple(k + rng.integers(0, 17, 24) / 16 for _ in "sa") for k in range(4)}
+
+
+# tags a Monte Carlo draw seldom or never reaches, in a shard of four 1-s
+# chunks under a window of 4 bins of 0.125 s (0.5 s) or 20 (2.5 s): the
+# bin count, and the Stokes and anti-Stokes times by chunk, where given
+EDGE_CASES = {
+    # Stokes tags at, just below and just above end - window: only the one
+    # above pairs with the anti-Stokes tag at the next chunk's start
+    "stokes_at_end_minus_window": (4, {
+        0: ([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)], [0.9]),
+        1: ([], [1.0, 1.125])}),
+    # a Stokes tag at its chunk's end, as a draw can round to, ties with the
+    # next chunk's first anti-Stokes tag
+    "stokes_at_end": (4, {0: ([0.75, 1.0], [0.875]), 1: ([1.25], [1.0, 1.25, 1.375])}),
+    # an anti-Stokes tag at its chunk's end ties with the next chunk's first
+    # Stokes tag
+    "antistokes_at_end": (4, {0: ([0.75], [1.0]), 1: ([1.0], [1.0, 1.25])}),
+    # both arms at both ends of every chunk, the slice's end included
+    "ties_across_chunk_ends": (4, {k: ([k, k + 1.0], [k, k + 1.0]) for k in range(4)}),
+    # the carry crosses two empty chunks; 3.375 - 0.875 is the window
+    "empty_chunks_between": (20, {0: ([0.875, 0.9375], [0.9375]),
+                                  3: ([3.5], [3.0, 3.25, 3.375, 3.625])}),
+    "one_arm_per_chunk": (4, {0: ([0.625, 0.875], []), 1: ([], [1.0, 1.25]),
+                              2: ([2.875], []), 3: ([], [3.0, 3.5])}),
+    "lattice": (4, _lattice(1)),
+    "window_over_chunks": (20, _lattice(2)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_chunk_ends_on_given_tags(monkeypatch, case):
+    # 4 s at _CHUNK expected tags a second: chunk ends at exactly 1, 2 and 3 s
+    n_bins, given = EDGE_CASES[case]
+    cfg = _cfg(pair_rate=float(photostatistics._CHUNK), duty_cycle=1.0,
+               measurement_time=4.0, bin_width=1.25e8)
+    got, chunks = _given_shard(monkeypatch, cfg, n_bins,
+                               lambda start, *_: given.get(int(start), ([], [])))
+    assert len(chunks) == 4
+    want = _full_array_shard(cfg, n_bins, chunks)
+    stream_s, stream_as = (np.concatenate(arm) for arm in zip(*chunks))
+    brute = _brute_force_histogram(stream_s, stream_as, n_bins * cfg.bin_width * 1e-9,
+                                   n_bins, cfg.bin_width)
+    assert np.array_equal(want[0], brute) and brute.sum() > 0
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sharded_run_equals_full_array_shards(workers):
+def test_sharded_run_equals_full_array_shards(monkeypatch, workers):
+    # each shard draws its own tags from its rng; their full-array counts
+    # and singles, summed, are the run's
     cfg = _cfg(measurement_time=30.0, pair_rate=_pairs_per_second(1.7, 10.0),
                background_s=1500.0, background_as=1000.0, rng_seed=12)
+    source = _GivenTags(_own_tags(MODEL.tau_max * 1e-9))
+    monkeypatch.setattr(photostatistics, "_chunk_keys", source)
     got = simulate_coincidences(MODEL, cfg, n_shards=3, workers=workers)
-    shards = [_full_array_shard(cfg, 400,
-                                _reference_chunks(cfg, 10.0, np.random.default_rng(s)))
-              for s in np.random.SeedSequence(cfg.rng_seed).spawn(3)]
+    assert len(source.shards) == 3
+    shards = [_full_array_shard(cfg, 400, [chunk[2:] for chunk in chunks])
+              for chunks in source.shards.values()]
+    assert all(chunks[-1][1] == 10.0 for chunks in source.shards.values())
     counts, singles = (sum(parts) for parts in zip(*shards))
     assert np.array_equal(got.counts, counts)
     assert [got.n_singles_s, got.n_singles_as] == singles.tolist()
     assert got.measurement_time == cfg.measurement_time
+
+
+def test_chunk_keys_keep_their_contract():
+    # the contract _GivenTags keeps, on the real draws of chunks at several
+    # offsets: the carry first and unchanged, the arm totals returned, no
+    # new tag before start and no Stokes tag after end
+    from scipy.stats import kstest
+
+    table, scratch = _delay_table(MODEL), _Scratch()
+    rates = np.array([2.0e4, 1.0e4, 1.5e4])
+    carry = _keys(np.array([0.5, 2.9]), np.array([2.95]))
+    shares = ([], [])
+    for seed in range(16):
+        start = 3.0 + 0.5 * seed
+        end = start + 0.25
+        keys, n_s, n_as = photostatistics._chunk_keys(
+            table, rates, start, end, carry, np.random.default_rng(seed), scratch)
+        assert np.array_equal(keys[:len(carry)], carry)
+        arm = (keys[len(carry):] & 1).astype(bool)
+        t = (keys[len(carry):] >> 1).view(np.float64)
+        assert (n_s, n_as) == (np.count_nonzero(~arm), np.count_nonzero(arm))
+        assert t.min() >= start and t[~arm].max() <= end
+        for share, times in zip(shares, (t[~arm], t[arm])):
+            share.append((times - start) / (end - start))
+    # each arm's times uniform over their chunk, by one KS test per arm
+    # over the 16 seeds; a pair's anti-Stokes tag trails by under 400 ns,
+    # 2e-6 of a chunk
+    for share in shares:
+        assert kstest(np.concatenate(share), "uniform").pvalue > 1e-3
 
 
 def test_sharded_run_keeps_the_measurement_time():
