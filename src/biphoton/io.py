@@ -20,6 +20,9 @@ from . import __version__
 from .errors import OutputError, ValidationError, _integer
 from .photostatistics import CoincidenceHistogram
 
+# rows formatted and written at a time, so a file's text is never held whole
+_ROWS_PER_BLOCK = 1 << 16
+
 
 def _flatten(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
     items: list[tuple[str, str]] = []
@@ -55,16 +58,18 @@ def write_csv(
     for key, value in _flatten(metadata or {}):
         lines.append(f"# {key}: {value}")
     lines.append(",".join(names))
-    if length:
-        # one % over the row-major cells: %d for integer columns, which
-        # prints them as str(int) does, %.10g for the rest
-        row = ",".join("%d" if a.dtype.kind in "iu" else "%.10g" for a in arrays)
-        cells = [None] * (length * len(arrays))
-        for j, a in enumerate(arrays):
-            cells[j::len(arrays)] = a.tolist()
-        lines.append("\n".join([row] * length) % tuple(cells))
+    # one % per block of rows over its row-major cells: %d for integer
+    # columns, which prints them as str(int) does, %.10g for the rest
+    row = ",".join("%d" if a.dtype.kind in "iu" else "%.10g" for a in arrays)
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+            for start in range(0, length, _ROWS_PER_BLOCK):
+                block = [a[start:start + _ROWS_PER_BLOCK].tolist() for a in arrays]
+                cells = [None] * (len(block[0]) * len(arrays))
+                for j, column in enumerate(block):
+                    cells[j::len(arrays)] = column
+                f.write("\n".join([row] * len(block[0])) % tuple(cells) + "\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

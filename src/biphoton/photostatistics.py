@@ -4,10 +4,11 @@ simulate_coincidences draws the detected time tags of a pair source in
 three Poisson classes (see DetectionConfig): coincident pairs, whose
 anti-Stokes photon trails its Stokes photon by a delay drawn from a
 model G2(tau), and each arm's uncorrelated singles.  It correlates the
-two arms' tags as a time-to-digital analyzer does: every (stokes,
-anti-stokes) pair with 0 <= t_as - t_s < tau_max falls in a bin of
-width t_c, so true pairs and accidentals emerge from one mechanism, and
-the flat accidental floor is S_s * S_as * t_c per bin and second.
+two arms' tags as a time-to-digital analyzer does, in integer ticks of
+1/1024 of a bin: every (stokes, anti-stokes) pair with 0 <= t_as - t_s <
+tau_max falls in a bin of width t_c, so true pairs and accidentals
+emerge from one mechanism, and the flat accidental floor is S_s * S_as *
+t_c per bin and second.
 
 Each shard draws and correlates its slice of the measurement in time
 order, chunk by chunk (see _simulate_shard), so its memory follows the
@@ -43,6 +44,9 @@ MAX_SHARDS = 256
 _GUIDE_CELLS_PER_NODE = 16
 _GUIDE_MAX_CELLS = 1 << 22
 _CHUNK = 1 << 16
+# a Monte Carlo tag is an int64 count of ticks of 2**-_TICK_BITS of a bin,
+# as a time-to-digital converter gives them
+_TICK_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -235,14 +239,14 @@ def _delays(table: _DelayTable, u: np.ndarray) -> np.ndarray:
 
 class _Scratch:
     """Working arrays of one shard's chunk loop, never shared between
-    threads: the chunk's keys (see _correlate), and _correlate's arm bits,
-    window lower limits and window test, each room for n keys.
+    threads: the chunk's int64 keys (see _correlate), and _correlate's arm
+    bits, window lower limits and window test, each room for n keys.
     """
 
     def __init__(self, n: int = 0) -> None:
-        self.keys = np.empty(n, dtype=np.uint64)
+        self.keys = np.empty(n, dtype=np.int64)
         self.arm = np.empty(n, dtype=bool)
-        self.lim = np.empty(n)
+        self.lim = np.empty(n, dtype=np.int64)
         self.inside = np.empty(n, dtype=bool)
 
     def reserve(self, n: int) -> None:
@@ -251,81 +255,77 @@ class _Scratch:
             self.__init__(n + (n >> 4))
 
 
-def _correlate(keys: np.ndarray, window: float, n_bins: int,
-               bin_width: float, scratch: _Scratch) -> np.ndarray:
-    """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < window.
+def _correlate(keys: np.ndarray, n_bins: int, scratch: _Scratch) -> np.ndarray:
+    """Multi-stop histogram of every tag pair with 0 <= t_as - t_s < n_bins bins.
 
-    keys: both arms' sorted tags, each time (s) as its float64 bits
-    shifted left by one, low bit 1 for anti-Stokes, so a Stokes tag comes
-    first at equal times; bin_width in ns.  The arm bits go to scratch,
-    and the keys are shifted right in place, so they hold the times when
-    this returns.  Round k = 1, 2, ... bins, for each anti-Stokes tag
-    whose k-th predecessor lies in its window, the pair with that
-    predecessor if it is a Stokes tag.  A tag leaves at its first
-    predecessor outside the window, as every earlier one lies outside
-    too, and the rounds end when no tag is left.  Pairs are tested and
-    binned by the same float expressions as a search over two sorted
-    streams, with each tag's window lower limit t - window computed once,
-    into scratch.
+    keys: both arms' sorted tags, each tick shifted left by one, low bit
+    1 for anti-Stokes, so a Stokes tag comes first at equal ticks.  The
+    arm bits go to scratch, and the keys are shifted right in place, so
+    they hold the ticks when this returns.  Round k = 1, 2, ... bins, for
+    each anti-Stokes tag whose k-th predecessor lies in its window, the
+    pair with that predecessor if it is a Stokes tag.  A tag leaves at its
+    first predecessor outside the window, as every earlier one lies
+    outside too, and the rounds end when no tag is left.  The window test
+    is exact on integers, with each tag's lower limit computed once, into
+    scratch, and a pair's tick difference dt < n_bins << _TICK_BITS bins
+    at dt >> _TICK_BITS, always one of the n_bins.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
     n = len(keys)
     scratch.reserve(n)
     arm = np.bitwise_and(keys, 1, out=scratch.arm[:n], casting="unsafe")
     keys >>= 1
-    t = keys.view(np.float64)
-    lim = np.subtract(t, window, out=scratch.lim[:n])
+    lim = np.subtract(keys, n_bins << _TICK_BITS, out=scratch.lim[:n])
     # the anti-Stokes tags whose predecessor lies in their window
     inside = scratch.inside[:n]
     inside[:1] = False
-    np.greater(t[:-1], lim[1:], out=inside[1:])
+    np.greater(keys[:-1], lim[1:], out=inside[1:])
     i = np.flatnonzero(inside)
     i = i[arm[i]]
     k = 1
     while i.size:
         s = i[~arm[i - k]]
-        # t_as >= t_s, so only a rounding past the last bin is clipped
-        idx = ((t[s] - t[s - k]) * 1e9 / bin_width).astype(np.int64)
-        np.minimum(idx, n_bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
+        dt = keys[s] - keys[s - k]
+        dt >>= _TICK_BITS
+        counts += np.bincount(dt, minlength=n_bins)
         k += 1
         i = i[i >= k]
-        i = i[t[i - k] > lim[i]]
+        i = i[keys[i - k] > lim[i]]
     return counts
 
 
-def _chunk_keys(table: _DelayTable, rates: np.ndarray, start: float, end: float,
-                carry: np.ndarray, rng: np.random.Generator, scratch: _Scratch) -> tuple:
-    """The keys of one chunk [start, end) of tags, and its new Stokes and
+def _chunk_keys(table: _DelayTable, tick_ns: float, rates: np.ndarray, start: int,
+                end: int, carry: np.ndarray, rng: np.random.Generator,
+                scratch: _Scratch) -> tuple:
+    """The keys of one chunk [start, end) of ticks, and its new Stokes and
     anti-Stokes tag counts.
 
     _simulate_shard relies on this contract alone: the keys lie in
     scratch's key array, carry first and unchanged, then the new tags'
     keys (see _correlate), unsorted, and no new tag lies before start.
-    rates are those of coincident pairs, Stokes singles and
-    anti-Stokes singles in 1/s (see DetectionConfig).  rng draws the three
-    counts in that order, then, straight into the keys, the pairs' times,
-    uniform in the chunk, their delays, and the Stokes and then the
-    anti-Stokes singles' times, uniform in the chunk.
+    rates are those of coincident pairs, Stokes singles and anti-Stokes
+    singles per tick of tick_ns ns (see DetectionConfig).  rng draws the
+    three counts in that order, then the pairs' Stokes ticks, uniform in
+    the chunk, their delays' uniforms, into the keys, and the Stokes and
+    then the anti-Stokes singles' ticks.  A delay of d ns is floor(d /
+    tick_ns) ticks: one rounded division, so its bin is floor(d/bin_width).
     """
-    span = end - start
-    n_pair, n_s, n_as = rng.poisson(rates * span).tolist()
+    n_pair, n_s, n_as = rng.poisson(rates * (end - start)).tolist()
     n_stokes = n_pair + n_s
     n = len(carry) + n_stokes + n_pair + n_as
     scratch.reserve(n)
     keys = scratch.keys[:n]
     keys[:len(carry)] = carry
-    t = keys[len(carry):].view(np.float64)
-    pair_s, pair_as, single_as = t[:n_pair], t[n_stokes:n_stokes + n_pair], t[n_stokes + n_pair:]
-    for part in (pair_s, pair_as, t[n_pair:n_stokes], single_as):
-        rng.random(out=part)
-    for part in (t[:n_stokes], single_as):
-        part *= span
-        part += start
-    np.multiply(_delays(table, pair_as), 1e-9, out=pair_as)
-    pair_as += pair_s
-    keys[len(carry):] <<= 1
-    keys[len(carry) + n_stokes:] |= 1
+    new = keys[len(carry):]
+    new[:n_pair] = rng.integers(start, end, n_pair)
+    pair_as = new[n_stokes:n_stokes + n_pair]
+    u = rng.random(out=pair_as.view(np.float64))
+    np.divide(_delays(table, u), tick_ns, out=pair_as, casting="unsafe")
+    pair_as += new[:n_pair]
+    new[n_pair:n_stokes] = rng.integers(start, end, n_s)
+    new[n_stokes + n_pair:] = rng.integers(start, end, n_as)
+    new <<= 1
+    new[n_stokes:] |= 1
     return keys, n_stokes, n_pair + n_as
 
 
@@ -333,7 +333,8 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float, n_
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One slice of the measurement, drawn and correlated in time order.
 
-    The slice [0, t_slice) is cut into equal chunks of about _CHUNK
+    The slice [0, t_slice), rounded to n_ticks ticks of 2**-_TICK_BITS
+    bin, is cut at ticks n_ticks*j // n_chunks into chunks of about _CHUNK
     expected tags (pairs plus background singles), drawn in turn by
     _chunk_keys behind the keys carried from the chunk before.  Once
     sorted, the keys before the chunk's end are correlated, and the
@@ -343,33 +344,35 @@ def _simulate_shard(table: _DelayTable, cfg: DetectionConfig, t_slice: float, n_
     carry left after the last chunk is correlated last.  One _Scratch
     holds the chunk's keys and _correlate's working arrays for the whole
     slice, and the carry is copied out of it before _correlate shifts
-    the keys, so no chunk allocates an array of its size, and memory
-    follows the chunk, not t_slice.  Returns the slice's int64 counts
-    per bin and its (Stokes, anti-Stokes) singles totals.
+    the keys, so memory follows the chunk, not t_slice; only the draws
+    allocate, a class's ticks or delays at a time.  Returns the slice's
+    int64 counts per bin and its (Stokes, anti-Stokes) singles totals.
     """
     pairs, eff_s = cfg.pair_rate * cfg.duty_cycle, cfg.qe_stokes * cfg.channel_t_stokes
     eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
+    tick_ns = cfg.bin_width / (1 << _TICK_BITS)
     rates = np.array([pairs * eff_s * eff_as, pairs * eff_s * (1 - eff_as) + cfg.background_s,
-                      pairs * (1 - eff_s) * eff_as + cfg.background_as])
+                      pairs * (1 - eff_s) * eff_as + cfg.background_as]) * (tick_ns * 1e-9)
+    n_ticks = round(t_slice * 1e9 / tick_ns)
     n = (pairs + cfg.background_s + cfg.background_as) * t_slice
-    edges = np.linspace(0.0, t_slice, max(1, math.ceil(n / _CHUNK)) + 1).tolist()
-    window = n_bins * cfg.bin_width * 1e-9
+    n_chunks = max(1, math.ceil(n / _CHUNK))
+    edges = [n_ticks * j // n_chunks for j in range(n_chunks + 1)]
+    window = n_bins << _TICK_BITS
     counts = np.zeros(n_bins, dtype=np.int64)
     singles = np.zeros(2, dtype=np.int64)
     scratch = _Scratch()
-    carry = np.empty(0, dtype=np.uint64)
+    carry = np.empty(0, dtype=np.int64)
     for start, end in zip(edges, edges[1:]):
-        keys, *tags = _chunk_keys(table, rates, start, end, carry, rng, scratch)
+        keys, *tags = _chunk_keys(table, tick_ns, rates, start, end, carry, rng, scratch)
         singles += tags
         keys.sort()
         # Stokes keys at end and at one window before it (0 at the least)
-        cuts = np.array([end, max(end - window, 0.0)]).view(np.uint64) << 1
-        cut = keys.searchsorted(cuts[0])
+        cut = keys.searchsorted(end << 1)
         done = keys[:cut]
-        near = done[done.searchsorted(cuts[1]):]
+        near = done[done.searchsorted(max(end - window, 0) << 1):]
         carry = np.concatenate([near[near & 1 == 0], keys[cut:]])
-        counts += _correlate(done, window, n_bins, cfg.bin_width, scratch)
-    counts += _correlate(carry, window, n_bins, cfg.bin_width, scratch)
+        counts += _correlate(done, n_bins, scratch)
+    counts += _correlate(carry, n_bins, scratch)
     return counts, singles
 
 
@@ -395,9 +398,8 @@ def simulate_coincidences(
     MAX_SHARDS, when a shard's expected tag count,
     (pair_rate*duty_cycle + background_s + background_as)*
     measurement_time/n_shards, exceeds MAX_SHARD_TAGS, when the bin
-    count, tau_max/bin_width, exceeds MAX_GRID_POINTS, or when the
-    float64 spacing of tag times at the end of a slice exceeds 1e-3 of a
-    bin.
+    count, tau_max/bin_width, exceeds MAX_GRID_POINTS, or when a slice's
+    ticks plus one window and one bin reach 2**62 (4.5e6 s at 1-ns bins).
     """
     for name, value in (("n_shards", n_shards), ("workers", workers)):
         if _integer(name, value) < 1:
@@ -418,19 +420,15 @@ def simulate_coincidences(
         raise ValidationError(
             f"the histogram would have {bins:.3g} bins of {cfg.bin_width:g} ns, "
             f"above MAX_GRID_POINTS = {MAX_GRID_POINTS:,}; widen bin_width")
-    # tag times are absolute float64 seconds, so a delay is rounded to
-    # their spacing at the slice's end, which moves up to that fraction
-    # of a bin's mass; at 1e-3 of a bin it stays below the Poisson noise
-    # of any bin under 1e6 counts
-    resolution = 1e-3 * cfg.bin_width * 1e-9
-    if np.spacing(t_slice) > resolution:
-        longest = 2.0 ** (math.floor(math.log2(resolution)) + 53)
-        raise ValidationError(
-            f"tag times over a {t_slice:.3g}-s shard slice are spaced "
-            f"{np.spacing(t_slice):.3g} s, above 1e-3 of a {cfg.bin_width:g}-ns "
-            f"bin; raise n_shards to at least "
-            f"{math.floor(cfg.measurement_time / longest) + 1}, or widen bin_width")
     n_bins = max(1, int(round(bins)))
+    # an int64 key is a tick shifted left by one, and a delay, at most
+    # tau_max, may end up to one window and one bin past the slice
+    ticks = t_slice * 1e9 / (cfg.bin_width / (1 << _TICK_BITS))
+    if not (ticks < 2.0 ** 62 - ((n_bins + 1) << _TICK_BITS)):
+        raise ValidationError(
+            f"a {t_slice:.3g}-s shard slice is {ticks:.3g} ticks of 1/1024 of a "
+            f"{cfg.bin_width:g}-ns bin: with the window it reaches 2^62 ticks; "
+            f"widen bin_width or raise n_shards")
     table = _delay_table(model)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_shards)
     # numpy 2 keeps its error state per context, and a pool thread starts

@@ -76,12 +76,17 @@ class Wavepacket:
     psi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for name in ("tau_min", "tau_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not (self.tau_step > 0):
             raise ValidationError("tau_step must be positive")
         if np.ndim(self.g2) != 1 or len(self.g2) < 2:
             raise ValidationError("g2 must be a 1-d array with >= 2 samples")
-        if np.any(np.asarray(self.g2) < 0):
-            raise ValidationError("g2 must be non-negative")
+        # NaN passes a test for negative values, and +inf passes it too
+        g2 = np.asarray(self.g2)
+        if not np.all((g2 >= 0) & np.isfinite(g2)):
+            raise ValidationError("g2 must be finite and non-negative")
         if self.psi is not None and len(self.psi) != len(self.g2):
             raise ValidationError("psi and g2 must share the grid")
 

@@ -299,10 +299,10 @@ def test_filter_with_two_identical_etalons(tmp_path):
     (["--workers", "-1"], "workers must be >= 1"),
     # no pool and no shard's RNG stream is made
     (["--shards", "257"], "n_shards must be <= MAX_SHARDS = 256"),
-    # tag times near 1e9 s are spaced 1.2e-7 s, 119 of its 1-ns bins
+    # 1e9 s of 1-ns bins is 1e21 ticks of 1/1024 bin, past 2**62
     (["--config", "detection: {measurement_time: 1.0e9, pair_rate: 1.0e-3}"],
-     "raise n_shards to at least 122071"),
-], ids=["0", "-1", "shards-257", "coarse-tag-times"])
+     "reaches 2^62 ticks; widen bin_width or raise n_shards"),
+], ids=["0", "-1", "shards-257", "tick-range"])
 def test_montecarlo_without_workers_exits_2(flags, message, tmp_path, capsys):
     if "--config" in flags:
         flags = [*flags[:-1], _write_config(tmp_path, flags[-1] + "\n")]

@@ -1,8 +1,11 @@
 """On-disk formats: CSV bodies, sidecars, and byte-identical reruns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import biphoton.io
 from biphoton import (
     CoincidenceHistogram,
     DetectionConfig,
@@ -107,6 +110,32 @@ def test_body_matches_cell_by_cell_formatting(tmp_path, rows):
         ",".join(_cell_by_cell(v) for v in row) for row in zip(*columns.values())
     ]
     assert path.read_text() == f"# tool: biphoton {__version__}\n" + "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 7])
+def test_blocks_of_rows_write_the_same_bytes(tmp_path, monkeypatch, rows):
+    # blocks of 3 rows: none, one partial, one full, and three, the last partial
+    columns = {"x": np.arange(rows) / 3.0, "n": np.arange(rows, dtype=np.int64)}
+    write_csv(tmp_path / "whole.csv", columns)
+    monkeypatch.setattr(biphoton.io, "_ROWS_PER_BLOCK", 3)
+    write_csv(tmp_path / "blocks.csv", columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_csv_memory_follows_a_block(tmp_path):
+    # 2**17 rows of two float columns, formatted a block of 2**16 rows at
+    # a time: the traced peak stays under 12 MiB, where formatting every
+    # row at once traced about 16 MiB
+    n = 1 << 17
+    columns = {"tau_ns": np.arange(n) * 0.1, "value": np.random.default_rng(0).random(n)}
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", columns, {"seed": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    assert len((tmp_path / "long.csv").read_text().splitlines()) == n + 3
 
 
 def test_histogram_round_trip(tmp_path):

@@ -32,6 +32,8 @@ from biphoton.wavepacket import Wavepacket
 
 MODEL_P = SystemParams(delta_c=28.3, omega_c=14.8)
 MODEL = g2_analytic(MODEL_P, grid=TimeGridConfig(tau_max=400.0, n_points=2000))
+# ticks per bin: Monte Carlo tags are int64 counts of ticks
+BIN = 1 << photostatistics._TICK_BITS
 
 
 def _cfg(**kw):
@@ -353,73 +355,71 @@ def test_guide_is_capped_on_a_large_grid():
     assert np.array_equal(_delays(table, u), np.interp(u, table.cdf, table.taus))
 
 
-def _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width):
+def _brute_force_histogram(stream_s, stream_as, n_bins):
+    """Every pair of ticks with 0 <= t_as - t_s < n_bins bins, one at a time."""
     counts = np.zeros(n_bins, dtype=np.int64)
     for t_as in stream_as.tolist():
         for t_s in stream_s.tolist():
             d = t_as - t_s
-            if 0.0 <= d < window:
-                counts[min(int(d * 1e9 / bin_width), n_bins - 1)] += 1
+            if 0 <= d < n_bins * BIN:
+                counts[d // BIN] += 1
     return counts
 
 
 def _keys(stream_s, stream_as):
-    """Sorted keys of two streams of tag times in s, as a shard builds them."""
-    keys = np.concatenate([stream_s.view(np.uint64) << 1,
-                           stream_as.view(np.uint64) << 1 | 1])
+    """Sorted keys of two streams of ticks, as a shard builds them."""
+    keys = np.concatenate([np.asarray(stream_s, dtype=np.int64) << 1,
+                           np.asarray(stream_as, dtype=np.int64) << 1 | 1])
     keys.sort()
     return keys
 
 
 def test_correlation_matches_brute_force_with_exact_ties():
-    # tags on a 2**-22 s lattice: differences, window and bin edges are
-    # exact, so ties at t_as == t_s, at the window and on every bin edge
-    # (bins are 4 lattice steps) are decided exactly by both sides
-    unit = 2.0 ** -22
-    bin_width = 1e9 * 4 * unit
+    # ticks on a lattice of a quarter bin: ties at t_as == t_s, at the
+    # window and on every bin edge are met often
+    unit = BIN // 4
     n_bins = 8
-    window = n_bins * 4 * unit
     rng = np.random.default_rng(11)
     stream_s = np.sort(rng.integers(0, 4000, 1000) * unit)
     stream_as = np.sort(rng.integers(0, 4000, 1000) * unit)
     diffs = stream_as[:, None] - stream_s[None, :]
-    assert np.any(diffs == 0.0) and np.any(diffs == window)
-    assert np.any(diffs == 4 * unit * 3)
-    want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
+    assert np.any(diffs == 0) and np.any(diffs == n_bins * BIN)
+    assert np.any(diffs == 3 * BIN)
+    want = _brute_force_histogram(stream_s, stream_as, n_bins)
     assert want.sum() > 1000
-    keys = _keys(stream_s, stream_as)
-    got = _correlate(keys, window, n_bins, bin_width, _Scratch())
+    got = _correlate(_keys(stream_s, stream_as), n_bins, _Scratch())
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("stream_s, stream_as", [
     ([], []),
-    ([0.0, 1e-8], []),
-    ([], [0.0, 1e-8]),
-    ([0.0], [0.0]),
-    ([0.0, 0.0], [0.0, 3e-9, 3e-9]),
-    ([0.0, 2e-8], [1e-8, 4e-8, 5e-8]),
+    ([0, 2], []),
+    ([], [0, 2]),
+    ([0], [0]),
+    ([0, 0], [0, 0.6, 0.6]),
+    ([0, 4], [2, 8, 10]),
     # S, S, A, S, A, A in one window, the last S and A tied: the last A
     # pairs in rounds 2, 4 and 5, past A predecessors in rounds 1 and 3
-    ([0.0, 1e-8, 2e-8], [1.5e-8, 2e-8, 3e-8]),
+    ([0, 2, 4], [3, 4, 6]),
 ], ids=["empty", "no_antistokes", "no_stokes", "both_at_zero",
         "ties_at_zero", "window_edges", "mixed_in_one_window"])
 def test_correlation_of_edge_streams(stream_s, stream_as):
-    stream_s, stream_as = np.array(stream_s, dtype=float), np.array(stream_as, dtype=float)
-    window, n_bins, bin_width = 4e-8, 8, 5.0
-    want = _brute_force_histogram(stream_s, stream_as, window, n_bins, bin_width)
+    # times in bins, of a window of 8
+    stream_s, stream_as = ((np.array(arm, dtype=float) * BIN).astype(np.int64)
+                           for arm in (stream_s, stream_as))
+    want = _brute_force_histogram(stream_s, stream_as, 8)
     keys = _keys(stream_s, stream_as)
-    got = _correlate(keys, window, n_bins, bin_width, _Scratch())
+    got = _correlate(keys, 8, _Scratch())
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
-    # the keys were shifted in place to the tags' times
-    assert np.array_equal(keys.view(np.float64), np.sort(np.concatenate([stream_s, stream_as])))
+    # the keys were shifted in place to the tags' ticks
+    assert np.array_equal(keys, np.sort(np.concatenate([stream_s, stream_as])))
 
 
 def test_correlation_of_an_empty_stream_is_empty():
-    tags = np.array([1e-6, 2e-6])
+    tags = np.array([BIN, 2 * BIN])
     for stream_s, stream_as in ((tags, tags[:0]), (tags[:0], tags)):
-        counts = _correlate(_keys(stream_s, stream_as), 1e-6, 4, 1.0, _Scratch())
+        counts = _correlate(_keys(stream_s, stream_as), 4, _Scratch())
         assert counts.dtype == np.int64 and not counts.any()
 
 
@@ -476,21 +476,62 @@ def test_oversized_bin_count_is_rejected_before_it_runs(monkeypatch, bin_width):
         simulate_coincidences(MODEL, _cfg(bin_width=bin_width))
 
 
-def test_coarse_tag_times_are_rejected_before_they_run(monkeypatch):
-    # at 1-ns bins a slice must stay below 2**13 s, where float64 times
-    # are spaced at most 2**-40 s, under 1e-3 of a bin; 2e4 s needs 3 shards
+def _longest_slice(monkeypatch, cfg):
+    """The longest measurement_time one shard may run at cfg's bins: the
+    range check passes it and refuses the next float."""
     monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
-    cfg = _cfg(measurement_time=2.0e4, pair_rate=1.0e-3)
-    for n_shards in (1, 2):
-        with pytest.raises(ValidationError, match="raise n_shards to at least 3"):
-            simulate_coincidences(MODEL, cfg, n_shards=n_shards)
-    with pytest.raises(AssertionError, match="a shard ran"):
-        simulate_coincidences(MODEL, cfg, n_shards=3)
-    # one slice just under the bound passes, one at it does not
-    with pytest.raises(AssertionError, match="a shard ran"):
-        simulate_coincidences(MODEL, _cfg(measurement_time=np.nextafter(2.0 ** 13, 0)))
-    with pytest.raises(ValidationError, match="spaced 1.82e-12 s"):
-        simulate_coincidences(MODEL, _cfg(measurement_time=2.0 ** 13))
+
+    def refused(t):
+        try:
+            simulate_coincidences(MODEL, dataclasses.replace(cfg, measurement_time=t))
+        except ValidationError as err:
+            assert "reaches 2^62 ticks" in str(err)
+            return True
+        except AssertionError:
+            return False
+        raise AssertionError("neither ran nor refused")
+
+    # 2**62 ticks less one window and one bin, in s, and the floats next to it
+    t = (2 ** 52 - 401) * cfg.bin_width * 1e-9
+    while refused(t):
+        t = np.nextafter(t, 0.0)
+    while not refused(np.nextafter(t, np.inf)):
+        t = np.nextafter(t, np.inf)
+    monkeypatch.undo()
+    return t
+
+
+def test_slice_past_the_tick_range_is_rejected_before_it_runs(monkeypatch):
+    # keys hold ticks of 1/1024 bin shifted left by one: a slice, with one
+    # window and one bin for the longest delay, stays under 2**62 ticks,
+    # 4.5e6 s at 1-ns bins; more shards or wider bins are the remedy
+    monkeypatch.setattr(photostatistics, "_simulate_shard", _must_not_run)
+    cfg = _cfg(measurement_time=5.0e6, pair_rate=1.0e-3)
+    with pytest.raises(ValidationError, match="widen bin_width or raise n_shards"):
+        simulate_coincidences(MODEL, cfg)
+    for run in (dict(n_shards=2), dict(cfg=dataclasses.replace(cfg, bin_width=2.0))):
+        with pytest.raises(AssertionError, match="a shard ran"):
+            simulate_coincidences(MODEL, **{"cfg": cfg, **run})
+    assert _longest_slice(monkeypatch, cfg) == pytest.approx(4.5036e6, rel=1e-4)
+
+
+def test_longest_slice_bins_its_last_tags(monkeypatch):
+    # a Stokes tag at the last tick of the longest slice, and anti-Stokes
+    # tags up to one window and one bin past it: no key overflows int64
+    cfg = _cfg(pair_rate=1.0e-3)
+    cfg = dataclasses.replace(cfg, measurement_time=_longest_slice(monkeypatch, cfg))
+    ends = []
+
+    def tags(start, end, rates, rng):
+        ends.append(end)
+        return [end - 1], [end - 1 + d for d in (0, 399 * BIN, 400 * BIN - 1, 401 * BIN - 1)]
+
+    monkeypatch.setattr(photostatistics, "_chunk_keys", _GivenTags(tags))
+    h = simulate_coincidences(MODEL, cfg)
+    assert ends[-1] + 401 * BIN - 2 < 2 ** 62 <= 2 * ends[-1]
+    want = np.zeros(400, dtype=np.int64)
+    want[[0, 399]] = [1, 2]
+    assert np.array_equal(h.counts, want)
 
 
 def test_negative_seed_rejected():
@@ -500,10 +541,10 @@ def test_negative_seed_rejected():
 
 
 # the correlation as it was before both arms shared one key array: one
-# search over all anti-Stokes tags; kept verbatim as the oracle of the
+# search over all anti-Stokes tags, on ticks; kept as the oracle of the
 # chunk loop, which _GivenTags feeds tags the tests choose
 
-def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
+def _full_array_correlate(stream_s, stream_as, n_bins):
     counts = np.zeros(n_bins, dtype=np.int64)
     s_idx = np.searchsorted(stream_s, stream_as, side="right") - 1
     as_idx = np.flatnonzero(s_idx >= 0)
@@ -511,12 +552,10 @@ def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
     while as_idx.size:
         t_as = stream_as[as_idx]
         t_s = stream_s[s_idx]
-        near = np.flatnonzero(t_s > t_as - window)
+        near = np.flatnonzero(t_s > t_as - n_bins * BIN)
         as_idx, s_idx = as_idx[near], s_idx[near]
-        diffs_ns = (t_as[near] - t_s[near]) * 1e9
-        idx = (diffs_ns / bin_width).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
+        # a bin past the last would not broadcast into counts
+        counts += np.bincount((t_as[near] - t_s[near]) // BIN, minlength=n_bins)
         s_idx -= 1
         more = s_idx >= 0
         as_idx, s_idx = as_idx[more], s_idx[more]
@@ -524,17 +563,20 @@ def _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width):
 
 
 def test_key_correlation_equals_full_array_correlate():
-    # untied float times in s, dense enough that many tags have several
-    # partners, some of them many predecessors back; one scratch serves
-    # every call, growing from the first and reused by the last
+    # float times in ns, dense enough that many tags have several
+    # partners, some of them many predecessors back, in ticks of two bin
+    # widths; one scratch serves every call, growing from the first and
+    # reused by the last
     rng = np.random.default_rng(21)
     scratch = _Scratch()
-    for n_s, n_as, span in ((3000, 2000, 2e-4), (500, 4000, 1e-3), (1, 1, 1e-7)):
-        stream_s = np.sort(rng.random(n_s) * span)
-        stream_as = np.sort(rng.random(n_as) * span + rng.random(n_as) * 3e-7)
-        for window, n_bins, bin_width in ((4e-7, 400, 1.0), (1e-6, 7, 150.0)):
-            want = _full_array_correlate(stream_s, stream_as, window, n_bins, bin_width)
-            got = _correlate(_keys(stream_s, stream_as), window, n_bins, bin_width, scratch)
+    for n_s, n_as, span in ((3000, 2000, 2e5), (500, 4000, 1e6), (1, 1, 100.0)):
+        ns_s = np.sort(rng.random(n_s) * span)
+        ns_as = np.sort(rng.random(n_as) * span + rng.random(n_as) * 300.0)
+        for n_bins, bin_width in ((400, 1.0), (7, 150.0)):
+            stream_s, stream_as = ((t * BIN / bin_width).astype(np.int64)
+                                   for t in (ns_s, ns_as))
+            want = _full_array_correlate(stream_s, stream_as, n_bins)
+            got = _correlate(_keys(stream_s, stream_as), n_bins, scratch)
             assert np.array_equal(got, want)
             assert want.sum() > (500 if n_s > 1 else -1)
 
@@ -545,11 +587,17 @@ def _chunk_edges(cfg, t_slice):
     return zip(edges[:-1], edges[1:])
 
 
+def _ticks(cfg, seconds):
+    """Times in s as ticks of 1/BIN of cfg's bins, a time-to-digital
+    converter's reading; a whole measurement_time reads as its slice's end."""
+    return np.round(np.asarray(seconds) * 1e9 / cfg.bin_width * BIN).astype(np.int64)
+
+
 def _per_pair_chunks(cfg, t_slice, rng):
     """The same tags drawn by thinning every generated pair, as the shards
     drew them before they drew by class: each pair's Stokes time, a keep
     test per arm and a delay for every kept anti-Stokes photon, then the
-    backgrounds."""
+    backgrounds, in s, read as ticks."""
     table = _delay_table(MODEL)
     chunks = []
     for start, end in _chunk_edges(cfg, t_slice):
@@ -560,7 +608,8 @@ def _per_pair_chunks(cfg, t_slice, rng):
         t_as = np.interp(rng.random(keep_as.sum()), table.cdf, table.taus) * 1e-9 + t_s[keep_as]
         bg_s = rng.random(rng.poisson(cfg.background_s * span)) * span + start
         bg_as = rng.random(rng.poisson(cfg.background_as * span)) * span + start
-        chunks.append((np.concatenate([t_s[keep_s], bg_s]), np.concatenate([t_as, bg_as])))
+        chunks.append((_ticks(cfg, np.concatenate([t_s[keep_s], bg_s])),
+                       _ticks(cfg, np.concatenate([t_as, bg_as]))))
     return chunks
 
 
@@ -568,8 +617,7 @@ def _full_array_shard(cfg, n_bins, chunks):
     """The chunks' tags correlated all at once: counts and singles, as a
     shard returns them."""
     stream_s, stream_as = (np.sort(np.concatenate(arm)) for arm in zip(*chunks))
-    window = n_bins * cfg.bin_width * 1e-9
-    counts = _full_array_correlate(stream_s, stream_as, window, n_bins, cfg.bin_width)
+    counts = _full_array_correlate(stream_s, stream_as, n_bins)
     return counts, np.array([len(stream_s), len(stream_as)])
 
 
@@ -606,7 +654,7 @@ CHUNKS = {"no_pairs": 1, "nothing": 1, "under_one_block": 1, "blocks_and_a_part"
 class _GivenTags:
     """A stand-in for _chunk_keys that keeps its contract on tags a test
     chooses: tags(start, end, rates, rng) gives a chunk's Stokes and
-    anti-Stokes times, none before start, and the source writes the carry
+    anti-Stokes ticks, none before start, and the source writes the carry
     and then their keys (see _correlate) into the shard's scratch.  Each
     shard's chunks are recorded as (start, end, stokes, anti-Stokes) under
     the shard's rng."""
@@ -615,8 +663,8 @@ class _GivenTags:
         self.tags = tags
         self.shards = {}
 
-    def __call__(self, table, rates, start, end, carry, rng, scratch):
-        stokes, anti = (np.asarray(arm, dtype=float)
+    def __call__(self, table, tick_ns, rates, start, end, carry, rng, scratch):
+        stokes, anti = (np.asarray(arm, dtype=np.int64)
                         for arm in self.tags(start, end, rates, rng))
         assert np.all(stokes >= start) and np.all(anti >= start)
         self.shards.setdefault(rng, []).append((start, end, stokes, anti))
@@ -628,15 +676,16 @@ class _GivenTags:
         return keys, len(stokes), len(anti)
 
 
-def _own_tags(window):
-    """The tests' own tags of a chunk, at the class rates the shard passes:
-    Poisson counts, times uniform in the chunk, and pair delays uniform
-    over 1.25 windows, so that some pairs fall outside the window."""
+def _own_tags(n_bins):
+    """The tests' own tags of a chunk, at the class rates per tick the
+    shard passes: Poisson counts, ticks uniform in the chunk, and pair
+    delays uniform over 1.25 windows of n_bins, so that some pairs fall
+    outside the window."""
     def tags(start, end, rates, rng):
         n_pair, n_s, n_as = rng.poisson(rates * (end - start))
-        stokes = start + (end - start) * rng.random(n_pair + n_s)
-        anti = np.concatenate([stokes[:n_pair] + 1.25 * window * rng.random(n_pair),
-                               start + (end - start) * rng.random(n_as)])
+        stokes = rng.integers(start, end, n_pair + n_s)
+        anti = np.concatenate([stokes[:n_pair] + rng.integers(0, n_bins * BIN * 5 // 4, n_pair),
+                               rng.integers(start, end, n_as)])
         return stokes, anti
     return tags
 
@@ -650,8 +699,9 @@ def _given_shard(monkeypatch, cfg, n_bins, tags):
                                           np.random.default_rng(cfg.rng_seed))
     (chunks,) = source.shards.values()
     starts, ends = zip(*(chunk[:2] for chunk in chunks))
-    # the chunks tile the slice
-    assert starts[0] == 0.0 and ends[-1] == cfg.measurement_time and starts[1:] == ends[:-1]
+    # the chunks tile the slice's ticks
+    assert starts[0] == 0 and ends[-1] == _ticks(cfg, cfg.measurement_time)
+    assert starts[1:] == ends[:-1]
     return got, [chunk[2:] for chunk in chunks]
 
 
@@ -668,8 +718,7 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
         monkeypatch.setattr(_Scratch, "__init__", spy)
     cfg = _cfg(**{"measurement_time": 10.0, **ORACLE_CASES[case]})
     n_bins = 400
-    got, chunks = _given_shard(monkeypatch, cfg, n_bins,
-                               _own_tags(n_bins * cfg.bin_width * 1e-9))
+    got, chunks = _given_shard(monkeypatch, cfg, n_bins, _own_tags(n_bins))
     want = _full_array_shard(cfg, n_bins, chunks)
     assert len(chunks) == CHUNKS[case]
     assert got[0].dtype == got[1].dtype == np.int64
@@ -682,38 +731,47 @@ def test_blocked_shard_equals_full_array_shard(monkeypatch, case):
         # the carry outgrows the scratch sized by the first chunk
         assert len(sizes) > 2 and sizes[2] > sizes[1] > 0
     if case == "tags_past_the_end":
-        assert np.count_nonzero(chunks[0][1] >= cfg.measurement_time) > 0
+        assert np.count_nonzero(chunks[0][1] >= _ticks(cfg, cfg.measurement_time)) > 0
+
+
+# ticks in 1 s of 0.125-s bins
+SECOND = 8 * BIN
 
 
 def _lattice(seed):
-    """24 Stokes and 24 anti-Stokes times per chunk on a 1/16-s lattice,
+    """24 Stokes and 24 anti-Stokes ticks per chunk on a 1/16-s lattice,
     chunk ends included: ties at every edge the loop tests."""
     rng = np.random.default_rng(seed)
-    return {k: tuple(k + rng.integers(0, 17, 24) / 16 for _ in "sa") for k in range(4)}
+    return {k: tuple(k * SECOND + rng.integers(0, 17, 24) * (SECOND // 16) for _ in "sa")
+            for k in range(4)}
 
 
 # tags a Monte Carlo draw seldom or never reaches, in a shard of four 1-s
 # chunks under a window of 4 bins of 0.125 s (0.5 s) or 20 (2.5 s): the
-# bin count, and the Stokes and anti-Stokes times by chunk, where given
+# bin count, and the Stokes and anti-Stokes ticks by chunk, where given
+S = SECOND
 EDGE_CASES = {
-    # Stokes tags at, just below and just above end - window: only the one
-    # above pairs with the anti-Stokes tag at the next chunk's start
+    # Stokes tags at, one tick below and one above end - window: only the
+    # one above pairs with the anti-Stokes tag at the next chunk's start
     "stokes_at_end_minus_window": (4, {
-        0: ([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)], [0.9]),
-        1: ([], [1.0, 1.125])}),
-    # a Stokes tag at its chunk's end, as a draw can round to, ties with the
+        0: ([S // 2 - 1, S // 2, S // 2 + 1], [S * 9 // 10]),
+        1: ([], [S, S * 9 // 8])}),
+    # a Stokes tag at its chunk's end, which no draw gives, ties with the
     # next chunk's first anti-Stokes tag
-    "stokes_at_end": (4, {0: ([0.75, 1.0], [0.875]), 1: ([1.25], [1.0, 1.25, 1.375])}),
+    "stokes_at_end": (4, {0: ([S * 3 // 4, S], [S * 7 // 8]),
+                          1: ([S * 5 // 4], [S, S * 5 // 4, S * 11 // 8])}),
     # an anti-Stokes tag at its chunk's end ties with the next chunk's first
     # Stokes tag
-    "antistokes_at_end": (4, {0: ([0.75], [1.0]), 1: ([1.0], [1.0, 1.25])}),
+    "antistokes_at_end": (4, {0: ([S * 3 // 4], [S]), 1: ([S], [S, S * 5 // 4])}),
     # both arms at both ends of every chunk, the slice's end included
-    "ties_across_chunk_ends": (4, {k: ([k, k + 1.0], [k, k + 1.0]) for k in range(4)}),
-    # the carry crosses two empty chunks; 3.375 - 0.875 is the window
-    "empty_chunks_between": (20, {0: ([0.875, 0.9375], [0.9375]),
-                                  3: ([3.5], [3.0, 3.25, 3.375, 3.625])}),
-    "one_arm_per_chunk": (4, {0: ([0.625, 0.875], []), 1: ([], [1.0, 1.25]),
-                              2: ([2.875], []), 3: ([], [3.0, 3.5])}),
+    "ties_across_chunk_ends": (4, {k: ([k * S, (k + 1) * S], [k * S, (k + 1) * S])
+                                   for k in range(4)}),
+    # the carry crosses two empty chunks; 3.375 - 0.875 s is the window
+    "empty_chunks_between": (20, {0: ([S * 7 // 8, S * 15 // 16], [S * 15 // 16]),
+                                  3: ([S * 7 // 2], [3 * S, S * 13 // 4, S * 27 // 8,
+                                                     S * 29 // 8])}),
+    "one_arm_per_chunk": (4, {0: ([S * 5 // 8, S * 7 // 8], []), 1: ([], [S, S * 5 // 4]),
+                              2: ([S * 23 // 8], []), 3: ([], [3 * S, S * 7 // 2])}),
     "lattice": (4, _lattice(1)),
     "window_over_chunks": (20, _lattice(2)),
 }
@@ -726,12 +784,11 @@ def test_chunk_ends_on_given_tags(monkeypatch, case):
     cfg = _cfg(pair_rate=float(photostatistics._CHUNK), duty_cycle=1.0,
                measurement_time=4.0, bin_width=1.25e8)
     got, chunks = _given_shard(monkeypatch, cfg, n_bins,
-                               lambda start, *_: given.get(int(start), ([], [])))
+                               lambda start, *_: given.get(start // SECOND, ([], [])))
     assert len(chunks) == 4
     want = _full_array_shard(cfg, n_bins, chunks)
     stream_s, stream_as = (np.concatenate(arm) for arm in zip(*chunks))
-    brute = _brute_force_histogram(stream_s, stream_as, n_bins * cfg.bin_width * 1e-9,
-                                   n_bins, cfg.bin_width)
+    brute = _brute_force_histogram(stream_s, stream_as, n_bins)
     assert np.array_equal(want[0], brute) and brute.sum() > 0
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -742,13 +799,13 @@ def test_sharded_run_equals_full_array_shards(monkeypatch, workers):
     # and singles, summed, are the run's
     cfg = _cfg(measurement_time=30.0, pair_rate=_pairs_per_second(1.7, 10.0),
                background_s=1500.0, background_as=1000.0, rng_seed=12)
-    source = _GivenTags(_own_tags(MODEL.tau_max * 1e-9))
+    source = _GivenTags(_own_tags(400))
     monkeypatch.setattr(photostatistics, "_chunk_keys", source)
     got = simulate_coincidences(MODEL, cfg, n_shards=3, workers=workers)
     assert len(source.shards) == 3
     shards = [_full_array_shard(cfg, 400, [chunk[2:] for chunk in chunks])
               for chunks in source.shards.values()]
-    assert all(chunks[-1][1] == 10.0 for chunks in source.shards.values())
+    assert all(chunks[-1][1] == 10 ** 10 * BIN for chunks in source.shards.values())
     counts, singles = (sum(parts) for parts in zip(*shards))
     assert np.array_equal(got.counts, counts)
     assert [got.n_singles_s, got.n_singles_as] == singles.tolist()
@@ -756,32 +813,84 @@ def test_sharded_run_equals_full_array_shards(monkeypatch, workers):
 
 
 def test_chunk_keys_keep_their_contract():
-    # the contract _GivenTags keeps, on the real draws of chunks at several
-    # offsets: the carry first and unchanged, the arm totals returned, no
-    # new tag before start and no Stokes tag after end
+    # the contract _GivenTags keeps, on the real draws of 0.25-s chunks at
+    # 1-ns bins and offsets up to 2**61 ticks: the carry first and
+    # unchanged, the arm totals returned, no new tag before start and no
+    # Stokes tag at or after end
     from scipy.stats import kstest
 
-    table, scratch = _delay_table(MODEL), _Scratch()
-    rates = np.array([2.0e4, 1.0e4, 1.5e4])
-    carry = _keys(np.array([0.5, 2.9]), np.array([2.95]))
+    table, scratch, tick_ns = _delay_table(MODEL), _Scratch(), 1.0 / BIN
+    rates = np.array([2.0e4, 1.0e4, 1.5e4]) * tick_ns * 1e-9
+    carry = _keys([5, 290], [295])
     shares = ([], [])
     for seed in range(16):
-        start = 3.0 + 0.5 * seed
-        end = start + 0.25
+        start = (seed + 1) << 57
+        end = start + 250_000_000 * BIN
         keys, n_s, n_as = photostatistics._chunk_keys(
-            table, rates, start, end, carry, np.random.default_rng(seed), scratch)
-        assert np.array_equal(keys[:len(carry)], carry)
+            table, tick_ns, rates, start, end, carry, np.random.default_rng(seed), scratch)
+        assert keys.dtype == np.int64 and np.array_equal(keys[:len(carry)], carry)
         arm = (keys[len(carry):] & 1).astype(bool)
-        t = (keys[len(carry):] >> 1).view(np.float64)
+        t = keys[len(carry):] >> 1
         assert (n_s, n_as) == (np.count_nonzero(~arm), np.count_nonzero(arm))
-        assert t.min() >= start and t[~arm].max() <= end
-        for share, times in zip(shares, (t[~arm], t[arm])):
-            share.append((times - start) / (end - start))
-    # each arm's times uniform over their chunk, by one KS test per arm
+        assert t.min() >= start and t[~arm].max() < end
+        for share, ticks in zip(shares, (t[~arm], t[arm])):
+            share.append((ticks - start) / (end - start))
+    # each arm's ticks uniform over their chunk, by one KS test per arm
     # over the 16 seeds; a pair's anti-Stokes tag trails by under 400 ns,
     # 2e-6 of a chunk
     for share in shares:
         assert kstest(np.concatenate(share), "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("bin_width", [1.0, 0.37, 150.0])
+def test_pair_keys_bin_at_the_floor_of_their_delay(monkeypatch, bin_width):
+    # each coincident pair's anti-Stokes key trails its Stokes key by a
+    # delay d that _delays gives from the chunk's own uniforms: the tick
+    # difference, shifted to bins, is floor(d / bin_width), at offsets up
+    # to 2**62 ticks, over 16 seeds
+    delays = []
+
+    def spy(table, u):
+        # every third delay moved onto the float bin edge below it, and
+        # every third just under that edge, where one rounding sets the bin
+        d = _delays(table, u)
+        edge = np.floor(d / bin_width) * bin_width
+        d[1::3] = edge[1::3]
+        d[2::3] = np.nextafter(edge[2::3], 0.0)
+        delays.append(d.copy())
+        return d
+
+    monkeypatch.setattr(photostatistics, "_delays", spy)
+    table, tick_ns = _delay_table(MODEL), bin_width / BIN
+    rates = np.array([2.0e4, 1.0e3, 1.0e3]) * tick_ns * 1e-9
+    span = round(0.5e9 / tick_ns)
+    bins = []
+    for seed in range(16):
+        start = seed << 58
+        keys, n_stokes, _ = photostatistics._chunk_keys(
+            table, tick_ns, rates, start, start + span, np.empty(0, dtype=np.int64),
+            np.random.default_rng(seed), _Scratch())
+        (d,) = delays
+        delays.clear()
+        dt = (keys[n_stokes:n_stokes + len(d)] >> 1) - (keys[:len(d)] >> 1)
+        assert np.array_equal(dt >> photostatistics._TICK_BITS, np.floor(d / bin_width))
+        bins.append(dt >> photostatistics._TICK_BITS)
+    bins = np.concatenate(bins)
+    assert len(bins) > 50_000 and bins.max() == int(MODEL.tau_max / bin_width - 1e-9)
+
+
+def test_long_single_shard_run_matches_expectation():
+    # 2e4 s at 1-ns bins in one shard, 2.4 times the longest slice of
+    # float64 tag times: the singles and coincidences, dominated by true
+    # pairs, lie within 5 sigma of their Poisson expectation
+    cfg = _cfg(measurement_time=2.0e4, pair_rate=1.0)
+    h = simulate_coincidences(MODEL, cfg)
+    pairs = cfg.pair_rate * cfg.duty_cycle * cfg.measurement_time
+    eff_s = cfg.qe_stokes * cfg.channel_t_stokes
+    eff_as = cfg.qe_antistokes * cfg.channel_t_antistokes
+    for got, want in ((h.n_singles_s, pairs * eff_s), (h.n_singles_as, pairs * eff_as),
+                      (h.counts.sum(), pairs * eff_s * eff_as)):
+        assert abs(got - want) < 5.0 * math.sqrt(want), (got, want)
 
 
 def test_sharded_run_keeps_the_measurement_time():

@@ -217,6 +217,18 @@ def test_wavepacket_validation():
     w = Wavepacket(0.0, 0.5, np.array([0.0, 1.0, 0.5, 0.2]))
     assert w.tau_max == pytest.approx(1.5)
     assert w.energy() > 0
+    # NaN passes a test for negative samples, and +inf passes it too
+    for tau_min, tau_step, g2, message in (
+        (0.0, 1.0, [math.nan, 1, 2, 1] * 10, "g2 must be finite and non-negative"),
+        (0.0, 1.0, [1, math.inf, 2, 1], "g2 must be finite and non-negative"),
+        (0.0, 1.0, [1, -math.inf, 2, 1], "g2 must be finite and non-negative"),
+        (0.0, math.inf, [1, 2, 1], "tau_step must be finite"),
+        (0.0, math.nan, [1, 2, 1], "tau_step must be finite"),
+        (math.nan, 1.0, [1, 2, 1], "tau_min must be finite"),
+        (-math.inf, 1.0, [1, 2, 1], "tau_min must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            Wavepacket(tau_min, tau_step, np.array(g2, dtype=float))
 
 
 
