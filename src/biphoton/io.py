@@ -134,19 +134,22 @@ def write_histogram(
 
 def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     """Load a histogram CSV and its sidecar back into objects; OutputError
-    names the file when a count is not a whole number that int64 holds,
-    or the sidecar when a field is missing or a singles total is not an
-    integer."""
+    names the file when it has no bins or a count is not a whole number
+    from 0 that int64 holds, or the sidecar when a field is missing, is
+    not a number (a boolean is not) or is refused by CoincidenceHistogram."""
     columns, _ = read_csv(path)
     if "tau_ns" not in columns or "counts" not in columns:
         raise OutputError(f"{path} lacks the tau_ns/counts schema")
     counts = columns["counts"]
+    if len(counts) == 0:
+        raise OutputError(f"{path} has no bins")
     # finite first, so that no comparison meets a nan
     whole = np.isfinite(counts)
-    whole[whole] = (np.abs(counts[whole]) < 2.0 ** 63) & (counts[whole] % 1 == 0)
+    c = counts[whole]
+    whole[whole] = (c >= 0) & (c < 2.0 ** 63) & (c % 1 == 0)
     if not whole.all():
         raise OutputError(f"{path}: count {counts[~whole][0]:g} is not a whole "
-                          "number that int64 holds")
+                          "number from 0 that int64 holds")
     sidecar = Path(str(path) + ".meta.json")
     try:
         meta = json.loads(sidecar.read_text())
@@ -155,13 +158,14 @@ def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     except json.JSONDecodeError as exc:
         raise OutputError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
     try:
-        fields = {
-            "bin_width": float(meta["bin_width_ns"]),
-            "n_singles_s": _integer("n_singles_s", meta["n_singles_s"]),
-            "n_singles_as": _integer("n_singles_as", meta["n_singles_as"]),
-            "measurement_time": float(meta["measurement_time_s"]),
-        }
-    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+        reals = [meta["bin_width_ns"], meta["measurement_time_s"]]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in reals):
+            raise TypeError(f"bin width and measurement time {reals} are not numbers")
+        h = CoincidenceHistogram(float(reals[0]), counts.astype(np.int64),
+                                 _integer("n_singles_s", meta["n_singles_s"]),
+                                 _integer("n_singles_as", meta["n_singles_as"]),
+                                 float(reals[1]))
+    except (KeyError, TypeError, OverflowError, ValidationError) as exc:
         raise OutputError(f"sidecar {sidecar} lacks a valid field: "
                           f"{type(exc).__name__}: {exc}") from exc
-    return CoincidenceHistogram(counts=counts.astype(np.int64), **fields), meta
+    return h, meta

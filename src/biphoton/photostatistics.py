@@ -151,13 +151,13 @@ class LossBudget:
 class _DelayTable:
     """Inverse CDF of the normalized G2 density, with its guide table.
 
-    taus holds the tau >= 0 grid nodes and three sub-nodes splitting each
-    segment in quarters, cdf the normalized mass accumulated over them,
-    slope np.interp's slopes between them with 0 appended for the last
-    node, and guide gives, for each of len(guide) equal cells of [0, 1),
-    the one CDF segment that cell lies in, or -1 where a node falls
-    inside the cell, in the narrowest signed integer type that holds the
-    node indices.
+    taus holds the model's grid nodes, from 0 to tau_max, and three
+    sub-nodes splitting each segment in quarters, cdf the normalized mass
+    accumulated over them, slope np.interp's slopes between them with 0
+    appended for the last node, and guide gives, for each of len(guide)
+    equal cells of [0, 1), the one CDF segment that cell lies in, or -1
+    where a node falls inside the cell, in the narrowest signed integer
+    type that holds the node indices.
     """
 
     taus: np.ndarray
@@ -172,7 +172,7 @@ def _delay_table(model: Wavepacket) -> _DelayTable:
     The segment of width h between nodes j and j + 1 holds the mass
     h/24*(-g[j-1] + 13 g[j] + 13 g[j+1] - g[j+2]) of the cubic through
     its four nearest nodes, clamped at 0, with a ghost node beyond each
-    end on the quadratic through the last three; G2 below 0 counts as 0.
+    end on the quadratic through the last three (a grid has at least 16).
     The segment's quarters share its mass in proportion to the line from
     g[j] to g[j+1] at their midpoints.  The guide table (Chen & Asau,
     1974) splits [0, 1) into a power of two of equal cells, at least
@@ -180,11 +180,8 @@ def _delay_table(model: Wavepacket) -> _DelayTable:
     is exact and a cell holding no node lies inside a single segment.
     Above the cap, more cells hold a node, and more uniforms are searched.
     """
-    pos = model.taus >= 0
-    taus = model.taus[pos]
-    g = np.maximum(np.asarray(model.g2, dtype=float)[pos], 0.0)
-    if len(g) < 3:
-        raise ValidationError("model wavepacket needs three nodes at tau >= 0")
+    taus = model.taus
+    g = np.asarray(model.g2, dtype=float)
     g_ext = np.concatenate([[3 * (g[0] - g[1]) + g[2]], g, [3 * (g[-1] - g[-2]) + g[-3]]])
     h = np.diff(taus)
     masses = np.maximum(h / 24 * (13 * (g[:-1] + g[1:]) - g_ext[:-3] - g_ext[3:]), 0.0)

@@ -68,42 +68,44 @@ class TimeGridConfig:
 
 @dataclass(frozen=True)
 class Wavepacket:
-    """G2(tau) on a uniform ns grid, optionally with the complex amplitude."""
+    """G2(tau) on its delay grid, optionally with the complex amplitude."""
 
-    tau_min: float
-    tau_step: float
+    grid: TimeGridConfig
     g2: np.ndarray
     psi: np.ndarray | None = None
 
+    # not a field: every delay grid starts at zero (bench/checks.py reads it)
+    tau_min = 0.0
+
     def __post_init__(self) -> None:
-        for name in ("tau_min", "tau_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not (self.tau_step > 0):
-            raise ValidationError("tau_step must be positive")
-        if np.ndim(self.g2) != 1 or len(self.g2) < 2:
-            raise ValidationError("g2 must be a 1-d array with >= 2 samples")
-        # NaN passes a test for negative values, and +inf passes it too
         g2 = np.asarray(self.g2)
+        if g2.shape != (self.grid.n_points,):
+            raise ValidationError(f"g2 must have the grid's shape ({self.grid.n_points},)")
+        # NaN passes a test for negative values, and +inf passes it too
         if not np.all((g2 >= 0) & np.isfinite(g2)):
             raise ValidationError("g2 must be finite and non-negative")
-        if self.psi is not None and len(self.psi) != len(self.g2):
+        object.__setattr__(self, "g2", g2)
+        if self.psi is not None and np.shape(self.psi) != g2.shape:
             raise ValidationError("psi and g2 must share the grid")
 
     @property
     def taus(self) -> np.ndarray:
-        return self.tau_min + self.tau_step * np.arange(len(self.g2))
+        return self.grid.taus
+
+    @property
+    def tau_step(self) -> float:
+        return self.grid.tau_step
 
     @property
     def tau_max(self) -> float:
-        return self.tau_min + self.tau_step * (len(self.g2) - 1)
+        return self.grid.tau_max
 
     def energy(self) -> float:
         """Trapezoid integral of G2 over the grid (units: ns * amplitude^2)."""
         return float(np.trapezoid(self.g2, dx=self.tau_step))
 
     def with_g2(self, g2: np.ndarray) -> "Wavepacket":
-        return Wavepacket(self.tau_min, self.tau_step, np.asarray(g2), None)
+        return Wavepacket(self.grid, g2)
 
 
 POLE_MERGE_TOL = 1e-5
@@ -135,7 +137,8 @@ def psi_poles(
 
     psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
     on the grid's delays tau >= 0, the residue sum over the poles r_k
-    (gamma13 units), which must all lie in the lower half plane.  A pole
+    (gamma13 units), which must all lie in the lower half plane, or
+    ValidationError is raised, as G2 would not decay.  A pole
     listed m times contributes its order-m residue, the (m-1)-th Taylor
     coefficient about it of exp(-i*omega*tau) / prod_j (omega - q_j) over
     the other poles q_j.  The SystemParams argument only supplies the
@@ -151,7 +154,12 @@ def psi_poles(
     40-digit residue sum).  The two errors cross near eps = 2e-5, so the
     tolerance 1e-5 keeps either below about 2e-10 of the peak.
     """
-    poles = _merge_close_poles([complex(r) for r in poles])
+    poles = [complex(r) for r in poles]
+    for r in poles:
+        if r.imag >= 0:
+            raise ValidationError(f"pole {r:.6g} is not below the real axis, "
+                                  "so G2 would not decay")
+    poles = _merge_close_poles(poles)
     t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
     psi = np.zeros(len(t), dtype=complex)
     for r, order in Counter(poles).items():
@@ -167,10 +175,10 @@ def psi_poles(
             a.append(sum(c[k] * a[n - 1 - k] for k in range(n)) / n)
         psi += a[-1]
     psi *= -1j * scale
-    return Wavepacket(0.0, grid.tau_step, np.abs(psi) ** 2, psi)
+    return Wavepacket(grid, np.abs(psi) ** 2, psi)
 
 
-def g2_analytic(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepacket:
+def g2_analytic(p: SystemParams, grid: TimeGridConfig = TimeGridConfig()) -> Wavepacket:
     """Closed-form wavepacket of the two-pole spectrum.
 
     G2(tau) = |C|^2 * [exp(-2*g+*tau) + exp(-2*g-*tau)
@@ -179,13 +187,11 @@ def g2_analytic(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepack
     * (pole_n - pole_b)): psi_poles over approx_poles, so psi_numeric
     reproduces this curve in absolute units, not just in shape.
     """
-    if grid is None:
-        grid = TimeGridConfig()
     scale = -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14))
     return psi_poles(scale, approx_poles(p), grid, p)
 
 
-def g2_resonant(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepacket:
+def g2_resonant(p: SystemParams, grid: TimeGridConfig = TimeGridConfig()) -> Wavepacket:
     """On-resonance (delta_c = 0) closed form.
 
     G2(tau) = 2*|C|^2 * exp(-(gamma13+gamma12)*tau) * (1 - cos(omega_c*tau))
@@ -196,16 +202,13 @@ def g2_resonant(p: SystemParams, grid: TimeGridConfig | None = None) -> Wavepack
     envelope carries that single exponent, not twice it; this form is
     the exact delta_c -> 0 limit of g2_analytic.
     """
-    if grid is None:
-        grid = TimeGridConfig()
     if p.omega_c == 0:
         raise ValidationError("resonant form needs omega_c > 0")
     t = grid.taus / p.time_unit_ns
     amp2 = abs(1.0 / (4.0 * (p.delta_p + 1j * p.gamma14) * p.omega_c)) ** 2
     env = np.exp(-(p.gamma13 + p.gamma12) * t)
     g2 = 2.0 * amp2 * env * (1.0 - np.cos(p.omega_c * t))
-    np.maximum(g2, 0.0, out=g2)
-    return Wavepacket(0.0, grid.tau_step, g2, None)
+    return Wavepacket(grid, g2)
 
 
 def _fast_len(n: int) -> int:
@@ -264,8 +267,8 @@ def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
 
 def psi_numeric(
     spectrum: ComplexSpectrum,
-    grid: TimeGridConfig | None = None,
-    p: SystemParams | None = None,
+    grid: TimeGridConfig = TimeGridConfig(),
+    p: SystemParams = SystemParams(),
 ) -> Wavepacket:
     """Fourier-transform a sampled spectrum to the time domain.
 
@@ -290,11 +293,6 @@ def psi_numeric(
     period pi/omega_step, beyond which the trapezoid sum undersamples
     the exp(-i*omega*tau) oscillation.
     """
-    if grid is None:
-        grid = TimeGridConfig()
-    if p is None:
-        p = SystemParams()
-
     omegas = spectrum.omegas
     vals = np.asarray(spectrum.values, dtype=complex)
     power = np.abs(vals) ** 2
@@ -343,7 +341,7 @@ def psi_numeric(
     poly = s * (c[0] + s * (c[1] / 2 + s * (c[2] / 6 + s * c[3] / 24)))
     psi -= 1j * np.exp(z * s) * poly
 
-    return Wavepacket(0.0, grid.tau_step, np.abs(psi) ** 2, psi)
+    return Wavepacket(grid, np.abs(psi) ** 2, psi)
 
 
 def spectrum_power(spectrum: ComplexSpectrum) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -351,6 +352,16 @@ def test_zero_peak_wavepacket_exits_3(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("sub", ["wavepacket", "filter", "montecarlo", "modulate"])
+def test_real_root_of_d_exits_2(sub, tmp_path, capsys):
+    # gamma12 = omega_c = 0 puts a root of D(omega) on the real axis, where
+    # G2 would never decay
+    argv = ["--gamma12", "0", "--omega-c", "0", "--delta-c", "5", "--out", str(tmp_path)]
+    assert main([sub, *argv]) == 2
+    assert "not below the real axis" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_invalid_physics_exits_2(capsys):
     assert main(["dressed", "--omega-c", "-1.0"]) == 2
 
@@ -403,6 +414,11 @@ def test_non_finite_result_exits_3_with_one_line(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _sidecar(**fields):
+    return {"bin_width_ns": 1.0, "n_singles_s": 10, "n_singles_as": 10,
+            "measurement_time_s": 1.0, **fields}
+
+
 @pytest.mark.parametrize("rows,sidecar", [
     ("0.5,abc\n", None),
     ("0.5,3\n1.5\n", None),
@@ -412,17 +428,29 @@ def test_non_finite_result_exits_3_with_one_line(argv, tmp_path, capsys):
     ("0.5,inf\n", None),
     ("0.5,1e30\n", None),
     ("0.5,2.5\n", None),
-    ("0.5,3\n", {"bin_width_ns": 1.0, "n_singles_s": 4743.9, "n_singles_as": 10,
-                 "measurement_time_s": 1.0}),
+    ("0.5,3\n", _sidecar(n_singles_s=4743.9)),
+    ("0.5,-1\n", None),
+    ("", None),
+    ("0.5,3\n", _sidecar(n_singles_s=-1)),
+    ("0.5,3\n", _sidecar(n_singles_as=-1)),
+    ("0.5,3\n", _sidecar(bin_width_ns=0.0)),
+    ("0.5,3\n", _sidecar(bin_width_ns=-1.0)),
+    ("0.5,3\n", _sidecar(bin_width_ns=math.nan)),
+    ("0.5,3\n", _sidecar(bin_width_ns=True)),
+    ("0.5,3\n", _sidecar(bin_width_ns="1.0")),
+    ("0.5,3\n", _sidecar(measurement_time_s=0.0)),
+    ("0.5,3\n", _sidecar(measurement_time_s=math.nan)),
+    ("0.5,3\n", _sidecar(measurement_time_s=True)),
 ], ids=["bad-cell", "short-row", "sidecar-without-singles", "sidecar-not-a-mapping",
         "nan-count", "inf-count", "count-beyond-int64", "fractional-count",
-        "fractional-singles"])
+        "fractional-singles", "negative-count", "no-bins", "negative-singles-s",
+        "negative-singles-as", "zero-bin-width", "negative-bin-width", "nan-bin-width",
+        "boolean-bin-width", "string-bin-width", "zero-measurement-time",
+        "nan-measurement-time", "boolean-measurement-time"])
 def test_malformed_histogram_exits_4(rows, sidecar, tmp_path, capsys):
     data = tmp_path / "h.csv"
     data.write_text("tau_ns,counts\n" + rows)
-    meta = {"bin_width_ns": 1.0, "n_singles_s": 10, "n_singles_as": 10,
-            "measurement_time_s": 1.0}
-    (tmp_path / "h.csv.meta.json").write_text(json.dumps(sidecar or meta))
+    (tmp_path / "h.csv.meta.json").write_text(json.dumps(sidecar or _sidecar()))
     assert main(["fit", "--data", str(data), "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

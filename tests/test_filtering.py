@@ -23,6 +23,7 @@ from biphoton import (
     dressed_modes,
     estimate_beat_period_ns,
     etalon_amplitude,
+    exact_poles,
     filtered_wavepacket,
     g2_analytic,
     mhz_to_gamma13,
@@ -176,7 +177,7 @@ def test_no_beat_raises():
     from biphoton import Wavepacket
 
     with pytest.raises(ValidationError):
-        estimate_beat_period_ns(Wavepacket(0.0, taus[1], w_flat))
+        estimate_beat_period_ns(Wavepacket(TimeGridConfig(300.0, 1500), w_flat))
 
 
 def test_depth_profile_full_beat_is_unity(detuned_params):
@@ -275,6 +276,23 @@ def test_repeated_pole_is_the_limit_of_split_poles(order, default_grid):
     assert np.max(np.abs(near - exact)) < 1e-5 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("pole", [0.5 + 1j, 5.0 + 0j, complex(-3.0, 1e-300)],
+                         ids=["upper", "real", "just-above"])
+def test_pole_off_the_lower_half_plane_rejected(pole, default_grid):
+    # its term would grow, or never decay, with the delay
+    with pytest.raises(ValidationError, match="not below the real axis"):
+        psi_poles(1.0, [complex(2.0, -1.0), pole], default_grid, SystemParams())
+
+
+def test_real_root_of_d_rejected(default_grid):
+    # with gamma12 = omega_c = 0 a root of D(omega) sits at delta_c
+    p = SystemParams(delta_c=5.0, omega_c=0.0, gamma12=0.0)
+    assert exact_poles(p)[0] == 5.0
+    for filters in ([], _narrow_filters(p)):
+        with pytest.raises(ValidationError, match=r"pole 5\+0j is not below"):
+            filtered_wavepacket(p, filters, default_grid)
+
+
 @pytest.mark.parametrize("eps", [1e-12, 1e-9])
 def test_near_equal_etalons_match_the_repeated_pole(eps, detuned_params, default_grid):
     # split simple-pole terms would cancel from O(1/eps); the merged
@@ -364,7 +382,7 @@ def test_depth_profile_edge_cases(detuned_params, default_grid):
     # an all-dark window ends the profile
     g2 = np.zeros(200)
     g2[:40] = 1.0 + np.arange(40) % 3
-    dark = Wavepacket(0.0, 0.5, g2)
+    dark = Wavepacket(TimeGridConfig(99.5, 200), g2)
     starts, _ = _assert_same_profile(dark, 5.0)
     assert len(starts) == 4
 

@@ -138,7 +138,7 @@ def test_resonant_nodes_at_beat_multiples():
     w = g2_analytic(p, grid=grid)
     # sample the analytic form exactly at the node times
     for t in taus:
-        idx = int(round((t - w.tau_min) / w.tau_step))
+        idx = int(round(t / w.tau_step))
         window = w.g2[max(idx - 2, 0) : idx + 3]
         assert window.min() < 1e-3 * w.g2.max()
 
@@ -210,26 +210,32 @@ def test_spectrum_power_is_unit_peak(detuned_params):
 
 
 def test_wavepacket_validation():
-    with pytest.raises(Exception):
-        Wavepacket(0.0, 0.2, np.array([0.1, -0.2, 0.3]))
-    with pytest.raises(Exception):
-        Wavepacket(0.0, -0.2, np.array([0.1, 0.2]))
-    w = Wavepacket(0.0, 0.5, np.array([0.0, 1.0, 0.5, 0.2]))
-    assert w.tau_max == pytest.approx(1.5)
+    grid = TimeGridConfig(7.5, 16)
+    g2 = np.linspace(0.0, 1.0, 16)
+    w = Wavepacket(grid, g2)
+    assert w.tau_max == 7.5 and w.tau_step == 0.5
     assert w.energy() > 0
     # NaN passes a test for negative samples, and +inf passes it too
-    for tau_min, tau_step, g2, message in (
-        (0.0, 1.0, [math.nan, 1, 2, 1] * 10, "g2 must be finite and non-negative"),
-        (0.0, 1.0, [1, math.inf, 2, 1], "g2 must be finite and non-negative"),
-        (0.0, 1.0, [1, -math.inf, 2, 1], "g2 must be finite and non-negative"),
-        (0.0, math.inf, [1, 2, 1], "tau_step must be finite"),
-        (0.0, math.nan, [1, 2, 1], "tau_step must be finite"),
-        (math.nan, 1.0, [1, 2, 1], "tau_min must be finite"),
-        (-math.inf, 1.0, [1, 2, 1], "tau_min must be finite"),
-    ):
-        with pytest.raises(ValidationError, match=message):
-            Wavepacket(tau_min, tau_step, np.array(g2, dtype=float))
+    for bad in (-0.2, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="g2 must be finite and non-negative"):
+            Wavepacket(grid, np.where(np.arange(16) == 3, bad, g2))
+    # samples off the grid
+    for bad in (g2[:-1], np.ones(17), g2[:, None], np.float64(1.0)):
+        with pytest.raises(ValidationError, match="the grid's shape"):
+            Wavepacket(grid, bad)
+    with pytest.raises(ValidationError, match="the grid's shape"):
+        w.with_g2(g2[:-1])
+    with pytest.raises(ValidationError, match="psi and g2 must share the grid"):
+        Wavepacket(grid, g2, np.ones(15, dtype=complex))
 
+
+def test_wavepacket_takes_the_axis_of_its_grid():
+    # linspace ends exactly at tau_max; tau_step * 1999 is one ulp above 500
+    grid = TimeGridConfig(500.0, 2000)
+    w = g2_analytic(SystemParams(), grid)
+    assert w.grid is grid and w.tau_min == 0.0
+    assert np.array_equal(w.taus, grid.taus) and w.tau_max == 500.0
+    assert w.with_g2(2 * w.g2).grid is grid
 
 
 def _direct_czt(x, m, theta):
