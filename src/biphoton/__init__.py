@@ -23,29 +23,27 @@ from .susceptibility import (
     approx_poles,
     chi3_approx,
     chi3_full,
-    component_weights,
     default_frequency_grid,
     exact_poles,
 )
 from .wavepacket import (
+    PoleModel,
     TimeGridConfig,
     Wavepacket,
     beat_period,
     g2_analytic,
     g2_resonant,
     psi_numeric,
-    psi_poles,
-    spectrum_energy,
     spectrum_power,
+    two_pole_model,
 )
 from .filtering import (
     EtalonFilter,
     apply_filter,
     beat_suppression,
-    broadband_etalon,
     estimate_beat_period_ns,
     etalon_amplitude,
-    filtered_wavepacket,
+    filtered_model,
     mhz_to_gamma13,
     modulation_depth_profile,
     narrow_mode_center,
@@ -76,20 +74,19 @@ __all__ = [
     "__version__",
     "ComplexSpectrum", "CoincidenceHistogram",
     "DetectionConfig", "DressedModes", "EtalonFilter", "FitModel",
-    "FitResult", "LossBudget", "ModulationMask", "SystemParams",
+    "FitResult", "LossBudget", "ModulationMask", "PoleModel", "SystemParams",
     "TimeGridConfig", "Wavepacket",
     "apply_filter", "apply_mask", "approx_poles", "beat_period",
-    "beat_suppression", "broadband_etalon", "budget_report",
-    "cauchy_schwarz", "chi3_approx", "chi3_full", "component_weights",
+    "beat_suppression", "budget_report",
+    "cauchy_schwarz", "chi3_approx", "chi3_full",
     "default_frequency_grid", "dressed_modes", "estimate_beat_period_ns",
     "etalon_amplitude", "exact_poles", "expected_accidental_floor",
-    "filtered_wavepacket", "fit_wavepacket", "g2_analytic", "g2_resonant",
+    "filtered_model", "fit_wavepacket", "g2_analytic", "g2_resonant",
     "histogram_metadata", "initial_guess", "loss_budget_rate", "mask_values",
     "mhz_to_gamma13", "modulation_depth_profile", "narrow_mode_center",
     "narrowband_etalon", "normalized_cross_correlation", "psi_numeric",
-    "psi_poles",
     "read_csv", "read_histogram", "simulate_coincidences",
-    "spectrum_energy", "spectrum_power", "suggest_mask_start",
+    "spectrum_power", "suggest_mask_start", "two_pole_model",
     "write_csv", "write_histogram",
     "ToolkitError", "ValidationError", "DegenerateInputError",
     "DegenerateDataError", "GridError", "NumericalError", "OutputError",

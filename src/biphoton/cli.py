@@ -13,7 +13,7 @@ deterministic for a fixed config and seed (timestamps only with
 --timestamps).
 
 filter, montecarlo and modulate take every delay curve, with or without
-a filter section, from the exact residue sum filtered_wavepacket; only
+a filter section, from the exact residue sum of filtered_model; only
 spectrum and wavepacket also write the two-pole approximation.
 
 A run executes under numpy's raising error state.  An overflow, invalid
@@ -43,7 +43,7 @@ from .estimation import MODEL_NAMES, FitModel, fit_wavepacket, initial_guess
 from .filtering import (
     apply_filter,
     beat_suppression,
-    filtered_wavepacket,
+    filtered_model,
     narrow_mode_center,
     narrowband_etalon,
 )
@@ -198,8 +198,8 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.system
     filters = cfg.filters or [narrowband_etalon(narrow_mode_center(p), p)]
     omegas, full, filtered = _spectra(cfg, filters)
-    before = filtered_wavepacket(p, [], cfg.grid)
-    after = filtered_wavepacket(p, filters, cfg.grid)
+    before = filtered_model(p, []).wavepacket(cfg.grid)
+    after = filtered_model(p, filters).wavepacket(cfg.grid)
     depth_before, depth_after = beat_suppression(before, after, beat_period(p))
     out = _outdir(cfg)
     for kind, power, w in (("unfiltered", full, before),
@@ -218,7 +218,7 @@ def cmd_filter(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> int:
     det = cfg.detection
-    model = filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
+    model = filtered_model(cfg.system, cfg.filters).wavepacket(cfg.grid)
     h = simulate_coincidences(model, det, n_shards=args.shards,
                               workers=args.workers)
     path = _outdir(cfg) / "histogram.csv"
@@ -263,7 +263,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_modulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     settings = cfg.mask
-    w = filtered_wavepacket(cfg.system, cfg.filters, cfg.grid)
+    w = filtered_model(cfg.system, cfg.filters).wavepacket(cfg.grid)
     mask = settings.mask
     if settings.start_auto:
         start = suggest_mask_start(w, beat_period(cfg.system))

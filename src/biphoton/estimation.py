@@ -97,14 +97,6 @@ class FitResult:
         return "\n".join(lines)
 
 
-def model_curve(
-    model: FitModel, params: dict, taus_ns: np.ndarray, time_unit_ns: float
-) -> np.ndarray:
-    """Evaluate the chosen shape at the given delays (ns)."""
-    shape, _ = _shape(model, params, taus_ns, time_unit_ns)
-    return params["amplitude"] * shape + params["background"]
-
-
 def _shape(
     model: FitModel, params: dict, taus_ns: np.ndarray, time_unit_ns: float
 ) -> tuple[np.ndarray, dict]:

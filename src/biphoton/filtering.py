@@ -10,8 +10,9 @@ T_peak.  The free spectral range only guards the single-mode regime:
 grids wider than one FSR would see the neighboring transmission order,
 which this model does not contain, so they are rejected.
 
-A filtered chi3_full stays rational; filtered_wavepacket transforms it
-by the shared residue sum, wavepacket.psi_poles.
+A filtered chi3_full stays rational: filtered_model holds it as a
+wavepacket.PoleModel, whose wavepacket is the residue sum and whose mass
+integrates G2 in closed form.
 
 Passing the anti-Stokes amplitude through a narrow etalon centered on
 the narrow dressed mode removes the second interference path; the
@@ -30,11 +31,12 @@ from .errors import GridError, ValidationError
 from .params import SystemParams, dressed_modes
 from .susceptibility import (
     ComplexSpectrum,
+    _chi_scale,
     _spectrum_from_samples,
     default_frequency_grid,
     exact_poles,
 )
-from .wavepacket import TimeGridConfig, Wavepacket, psi_poles
+from .wavepacket import PoleModel, Wavepacket
 
 # instrument presets, quoted by their SI data sheets and converted with
 # the default si_gamma13 = 2*pi*3 MHz: 1 MHz of ordinary frequency is
@@ -42,7 +44,6 @@ from .wavepacket import TimeGridConfig, Wavepacket, psi_poles
 NARROWBAND_FWHM_MHZ = 15.0
 NARROWBAND_FSR_GHZ = 22.9
 NARROWBAND_PEAK = 0.12
-BROADBAND_FWHM_MHZ = 500.0
 
 # beat cycles after the peak that beat_suppression averages
 _BEAT_CYCLES = 3
@@ -84,16 +85,6 @@ def narrowband_etalon(center: float, p: SystemParams | None = None) -> EtalonFil
     )
 
 
-def broadband_etalon(center: float, p: SystemParams | None = None) -> EtalonFilter:
-    """The 500-MHz pass-both-components etalon (nominal unit peak)."""
-    return EtalonFilter(
-        center=center,
-        fwhm=mhz_to_gamma13(BROADBAND_FWHM_MHZ, p),
-        fsr=mhz_to_gamma13(NARROWBAND_FSR_GHZ * 1000.0, p),
-        peak_transmission=1.0,
-    )
-
-
 def narrow_mode_center(p: SystemParams) -> float:
     """Default filter placement: the detuning of the narrow dressed mode."""
     return dressed_modes(p).narrow_detuning
@@ -131,25 +122,23 @@ def apply_filter(spectrum: ComplexSpectrum, f: EtalonFilter) -> ComplexSpectrum:
     return spectrum.with_values(spectrum.values * response.values)
 
 
-def filtered_wavepacket(
-    p: SystemParams, filters: list[EtalonFilter], grid: TimeGridConfig
-) -> Wavepacket:
-    """Exact wavepacket of chi3_full passed through the etalons in turn.
+def filtered_model(p: SystemParams, filters: list[EtalonFilter]) -> PoleModel:
+    """chi3_full passed through the etalons in turn, as a PoleModel.
 
-    psi_poles over the two roots of D(omega) plus each etalon's pole, so
-    no spectrum is sampled; no filters gives the unfiltered wavepacket.
-    Each etalon must hold default_frequency_grid within one free spectral
+    Its poles are the two roots of D(omega) plus each etalon's pole, so
+    no spectrum is sampled; no filters gives the unfiltered model.  Each
+    etalon must hold default_frequency_grid within one free spectral
     range, as apply_filter requires of the sampled spectrum.
     """
     omega_lo, omega_hi = default_frequency_grid(p, 2)
-    scale = -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14))
+    scale = _chi_scale(p)
     poles = list(exact_poles(p))
     for f in filters:
         _check_single_order(f, omega_lo, omega_hi)
         pole, numerator = etalon_pole(f)
         poles.append(pole)
         scale *= numerator
-    return psi_poles(scale, poles, grid, p)
+    return PoleModel(scale, poles, p.time_unit_ns)
 
 
 def _parabolic_peak(values: np.ndarray, k: int) -> float:

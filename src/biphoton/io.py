@@ -134,9 +134,10 @@ def write_histogram(
 
 def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     """Load a histogram CSV and its sidecar back into objects; OutputError
-    names the file when it has no bins or a count is not a whole number
-    from 0 that int64 holds, or the sidecar when a field is missing, is
-    not a number (a boolean is not) or is refused by CoincidenceHistogram."""
+    names the file when it has no bins, a count is not a whole number
+    from 0 that int64 holds or a tau_ns is not its bin's centre as
+    written, or the sidecar when a field is missing, is not a number (a
+    boolean is not) or is refused by CoincidenceHistogram."""
     columns, _ = read_csv(path)
     if "tau_ns" not in columns or "counts" not in columns:
         raise OutputError(f"{path} lacks the tau_ns/counts schema")
@@ -168,4 +169,9 @@ def read_histogram(path) -> tuple[CoincidenceHistogram, dict]:
     except (KeyError, TypeError, OverflowError, ValidationError) as exc:
         raise OutputError(f"sidecar {sidecar} lacks a valid field: "
                           f"{type(exc).__name__}: {exc}") from exc
+    # bin j is centred at (j + 0.5)*bin_width, which write_csv wrote at %.10g
+    centres = np.array(["%.10g" % c for c in h.bin_centers.tolist()], dtype=float)
+    off = np.nonzero(columns["tau_ns"] != centres)[0]
+    if len(off):
+        raise OutputError(f"{path}: tau_ns of row {off[0]} is not {centres[off[0]]:g}")
     return h, meta

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _integer
-from .params import DressedModes, SystemParams, dressed_modes
+from .params import SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
 # the most points of a time or frequency grid, and the most bins of a
-# Monte Carlo histogram: a cold 2-s montecarlo run's peak RSS is 134 MB
-# at 2.5e5 time points and 393 MB at 1e6 (Python 3.11, numpy 2.4,
-# x86-64), about 345 B per point, so a grid at the bound needs about
-# 1.1 GB; a bin costs 8 B per shard
+# Monte Carlo histogram; cold peak RSS on 3e6 time points (Python 3.11,
+# numpy 2.4, x86-64): filter 330 MB, modulate 289 MB, wavepacket 493 MB,
+# and a 0.5-s montecarlo 1,004 MB, whose delay table costs about 336 B a
+# point (131 MB at 2.5e5 points, 383 MB at 1e6); a bin costs 8 B per shard
 MAX_GRID_POINTS = 3_000_000
 
 
@@ -140,6 +140,11 @@ def exact_poles(p: SystemParams) -> tuple[complex, complex]:
     return (r2, r1)
 
 
+def _chi_scale(p: SystemParams) -> complex:
+    """The constant of chi = scale / ((omega - r_1)*(omega - r_2)), either form."""
+    return -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14))
+
+
 def chi3_approx(p: SystemParams, omegas: np.ndarray) -> ComplexSpectrum:
     """Two-pole factorization of chi3_full on the same scale.
 
@@ -159,22 +164,3 @@ def chi3_approx(p: SystemParams, omegas: np.ndarray) -> ComplexSpectrum:
     w = np.asarray(omegas, dtype=complex)
     vals = -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14) * (w - p1) * (w - p2))
     return _spectrum_from_samples(omegas, vals)
-
-
-def component_weights(p: SystemParams) -> tuple[float, float]:
-    """Integrated spectral power of the narrow and broad Lorentzian components.
-
-    Partial fractions give both components the same residue magnitude,
-    so each integrated power is pi*|residue|^2/gamma and the ratio
-    weight_narrow/weight_broad equals gamma_broad/gamma_narrow, i.e.
-    gamma_plus/gamma_minus for delta_c >= 0.  The narrow component always
-    dominates; that dominance is what spectral filtering exploits.  Which
-    component is narrow is DressedModes.fwhm_narrow's rule.
-    """
-    d = dressed_modes(p)
-    p1, p2 = approx_poles(p)
-    residue = 1.0 / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
-    # integral of |residue/(w - (d0 - i*g))|^2 over the real axis = pi*|residue|^2/g
-    power = np.pi * residue ** 2
-    return (float(power / (0.5 * d.fwhm_narrow)),
-            float(power / (0.5 * d.fwhm_broad)))

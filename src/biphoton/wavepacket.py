@@ -7,11 +7,13 @@ is analytic in the lower half plane, so every delay grid is [0, tau_max].
 
 Two routes produce G2:
 
-* psi_poles: closed form from the residues of a rational spectrum,
-  behind g2_analytic and filtering.filtered_wavepacket; for two poles
+* PoleModel: a rational spectrum held as its scale and poles, built by
+  two_pole_model (behind g2_analytic) and filtering.filtered_model.  Its
+  wavepacket is the residue sum; for two poles
       G2 ~ exp(-2*gamma_plus*tau) + exp(-2*gamma_minus*tau)
            - 2*cos(omega_e*tau)*exp(-(gamma_plus+gamma_minus)*tau)
-  (zero at tau = 0: the two dressed paths interfere destructively).
+  (zero at tau = 0: the two dressed paths interfere destructively).  Its
+  mass, the integral of G2 over any delay interval, is a closed form too.
 * psi_numeric: direct quadrature of the Fourier integral for arbitrary
   sampled spectra.  A rational function fitted to both grid edges, whose
   transform is a closed-form residue, carries the truncated tails; the
@@ -28,14 +30,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, ValidationError, _integer
 from .params import SystemParams, dressed_modes
-from .susceptibility import MAX_GRID_POINTS, ComplexSpectrum, approx_poles
+from .susceptibility import MAX_GRID_POINTS, ComplexSpectrum, _chi_scale, approx_poles
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,6 @@ class Wavepacket:
     def tau_max(self) -> float:
         return self.grid.tau_max
 
-    def energy(self) -> float:
-        """Trapezoid integral of G2 over the grid (units: ns * amplitude^2)."""
-        return float(np.trapezoid(self.g2, dx=self.tau_step))
-
     def with_g2(self, g2: np.ndarray) -> "Wavepacket":
         return Wavepacket(self.grid, g2)
 
@@ -130,19 +127,14 @@ def _merge_close_poles(poles: list[complex]) -> list[complex]:
     return [mean.get(r, r) for r in poles]
 
 
-def psi_poles(
-    scale: complex, poles: Sequence[complex], grid: TimeGridConfig, p: SystemParams
-) -> Wavepacket:
-    """Exact transform of the rational spectrum scale / prod_k (omega - r_k).
-
-    psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
-    on the grid's delays tau >= 0, the residue sum over the poles r_k
-    (gamma13 units), which must all lie in the lower half plane, or
-    ValidationError is raised, as G2 would not decay.  A pole
-    listed m times contributes its order-m residue, the (m-1)-th Taylor
-    coefficient about it of exp(-i*omega*tau) / prod_j (omega - q_j) over
-    the other poles q_j.  The SystemParams argument only supplies the
-    ns <-> gamma13 time conversion.
+@dataclass(frozen=True)
+class PoleModel:
+    """The rational spectrum scale / prod_k (omega - r_k), poles r_k in
+    gamma13 units and all below the real axis (else ValidationError, as G2
+    would not decay), whose transform and integrals of G2 are closed forms;
+    time_unit_ns converts gamma13 time units to ns.  A pole listed m times
+    contributes its order-m residue, the (m-1)-th Taylor coefficient about
+    it of exp(-i*omega*tau) / prod_j (omega - q_j) over the other poles q_j.
 
     Poles closer together than POLE_MERGE_TOL (gamma13 units) are
     merged into one repeated pole at their mean.  Two terms of a split
@@ -154,28 +146,77 @@ def psi_poles(
     40-digit residue sum).  The two errors cross near eps = 2e-5, so the
     tolerance 1e-5 keeps either below about 2e-10 of the peak.
     """
-    poles = [complex(r) for r in poles]
-    for r in poles:
-        if r.imag >= 0:
-            raise ValidationError(f"pole {r:.6g} is not below the real axis, "
-                                  "so G2 would not decay")
-    poles = _merge_close_poles(poles)
-    t = grid.taus / p.time_unit_ns  # ns -> gamma13 time units
-    psi = np.zeros(len(t), dtype=complex)
-    for r, order in Counter(poles).items():
-        d = np.array([q - r for q in poles if q != r], dtype=complex)
-        # a_n: Taylor coefficients about r of exp(g), g(omega) =
-        # -i*omega*t - sum_j log(omega - q_j); with c_k those of g',
-        # n*a_n = sum_k c_k*a_{n-1-k}
-        c = [np.sum(d ** -(k + 1)) for k in range(order - 1)]
-        if order > 1:
-            c[0] = c[0] - 1j * t
-        a = [np.exp(-1j * r * t) / np.prod(-d)]
-        for n in range(1, order):
-            a.append(sum(c[k] * a[n - 1 - k] for k in range(n)) / n)
-        psi += a[-1]
-    psi *= -1j * scale
-    return Wavepacket(grid, np.abs(psi) ** 2, psi)
+
+    scale: complex
+    poles: tuple
+    time_unit_ns: float
+
+    def __post_init__(self) -> None:
+        poles = [complex(r) for r in self.poles]
+        for r in poles:
+            if r.imag >= 0:
+                raise ValidationError(f"pole {r:.6g} is not below the real axis, "
+                                      "so G2 would not decay")
+        object.__setattr__(self, "poles", tuple(_merge_close_poles(poles)))
+
+    def wavepacket(self, grid: TimeGridConfig) -> Wavepacket:
+        """psi(tau) = -i*scale * sum_k exp(-i*r_k*tau) / prod_{j!=k} (r_k - r_j)
+        on the grid's delays tau >= 0, the residue sum over the poles."""
+        t = grid.taus / self.time_unit_ns  # ns -> gamma13 time units
+        psi = np.zeros(len(t), dtype=complex)
+        for r, order in Counter(self.poles).items():
+            d = np.array([q - r for q in self.poles if q != r], dtype=complex)
+            # a_n: Taylor coefficients about r of exp(g), g(omega) =
+            # -i*omega*t - sum_j log(omega - q_j); with c_k those of g',
+            # n*a_n = sum_k c_k*a_{n-1-k}
+            c = [np.sum(d ** -(k + 1)) for k in range(order - 1)]
+            if order > 1:
+                c[0] = c[0] - 1j * t
+            a = [np.exp(-1j * r * t) / np.prod(-d)]
+            for n in range(1, order):
+                a.append(sum(c[k] * a[n - 1 - k] for k in range(n)) / n)
+            psi += a[-1]
+        psi *= -1j * self.scale
+        return Wavepacket(grid, np.abs(psi) ** 2, psi)
+
+    def mass(self, t0, t1=math.inf):
+        """Integral of G2 over [t0, t1] ns, in ns * amplitude^2, G2 being 0
+        before tau = 0; t0 and t1 broadcast, so bin edges give every bin.
+
+        psi = sum_k b_k(t) exp(-i*r_k*t), b_k the polynomial that the
+        recursion of wavepacket gives with its -i*t kept as a power of t,
+        so T(t), the integral of G2 from t on, is a finite sum of integrals
+        of polynomial * exp(lam*t), Re(lam) < 0; the mass is T(t0) - T(t1).
+        """
+        terms = []
+        for r, order in Counter(self.poles).items():
+            d = np.array([q - r for q in self.poles if q != r], dtype=complex)
+            c = [np.sum(d ** -(k + 1)) for k in range(order - 1)]
+            a = [np.eye(1, order, dtype=complex)[0] / np.prod(-d)]  # ascending powers
+            for n in range(1, order):
+                a.append((sum(c[k] * a[n - 1 - k] for k in range(n))
+                          - 1j * np.roll(a[n - 1], 1)) / n)
+            terms.append((r, -1j * self.scale * a[-1][::-1]))
+        t = np.stack(np.broadcast_arrays(t0, t1)).astype(float) / self.time_unit_ns
+        end = np.isposinf(t)
+        t = np.where(end, 0.0, np.maximum(t, 0.0))
+        tail = np.zeros(t.shape, dtype=complex)  # T(t0) and T(t1)
+        for rj, bj in terms:
+            for rk, bk in terms:
+                # by parts: the integral of poly(s)*exp(lam*s) from t on is
+                # -exp(lam*t)/lam * sum_m (-1/lam)^m * poly^(m)(t)
+                lam = -1j * (rj - rk.conjugate())
+                poly = np.convolve(bj, bk.conj())
+                tail -= np.exp(lam * t) / lam * sum(
+                    (-1.0 / lam) ** m * np.polyval(np.polyder(poly, m), t)
+                    for m in range(len(poly)))
+        tail = np.where(end, 0.0, tail.real) * self.time_unit_ns
+        return tail[0] - tail[1]
+
+
+def two_pole_model(p: SystemParams) -> PoleModel:
+    """The two-pole spectrum chi3_approx as a PoleModel over approx_poles."""
+    return PoleModel(_chi_scale(p), approx_poles(p), p.time_unit_ns)
 
 
 def g2_analytic(p: SystemParams, grid: TimeGridConfig = TimeGridConfig()) -> Wavepacket:
@@ -184,11 +225,10 @@ def g2_analytic(p: SystemParams, grid: TimeGridConfig = TimeGridConfig()) -> Wav
     G2(tau) = |C|^2 * [exp(-2*g+*tau) + exp(-2*g-*tau)
               - 2*cos(omega_e*tau)*exp(-(g+ + g-)*tau)] for tau >= 0,
     with C = i / (4*(delta_p + i*gamma14)
-    * (pole_n - pole_b)): psi_poles over approx_poles, so psi_numeric
+    * (pole_n - pole_b)): two_pole_model's wavepacket, so psi_numeric
     reproduces this curve in absolute units, not just in shape.
     """
-    scale = -1.0 / (4.0 * (p.delta_p + 1j * p.gamma14))
-    return psi_poles(scale, approx_poles(p), grid, p)
+    return two_pole_model(p).wavepacket(grid)
 
 
 def g2_resonant(p: SystemParams, grid: TimeGridConfig = TimeGridConfig()) -> Wavepacket:
@@ -279,7 +319,7 @@ def psi_numeric(
     by its residue at z, and values - R with trapezoid weights by a
     chirp-z transform on the uniform grid of delays from 0 to tau_max.
 
-    Accuracy against psi_poles on default_frequency_grid and the default
+    Accuracy against PoleModel.wavepacket on default_frequency_grid and the default
     delay grid, over 47 operating points (delta_c -50..50, omega_c 5..30),
     unfiltered and behind the narrowband etalon: at most 1.6e-5 of the
     peak |psi| (at the shortest delays) and 6.1e-7 beyond 10 ns, both at
@@ -351,17 +391,6 @@ def spectrum_power(spectrum: ComplexSpectrum) -> np.ndarray:
     if peak == 0:
         raise ValidationError("spectrum is identically zero")
     return power / peak
-
-
-def spectrum_energy(spectrum: ComplexSpectrum) -> float:
-    """(1/2pi) * trapezoid integral of |values|^2, in gamma13 units.
-
-    Parseval: equals the time-domain energy of the transform, i.e.
-    Wavepacket.energy()/time_unit_ns for a wavepacket from psi_numeric
-    whose grid captures the full decay.
-    """
-    power = np.abs(np.asarray(spectrum.values)) ** 2
-    return float(np.trapezoid(power, dx=spectrum.omega_step) / (2.0 * np.pi))
 
 
 def beat_period(p: SystemParams) -> float:

@@ -31,11 +31,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def window_masses(model_at, tau_max=400.0, n_bins=400):
+def window_masses(model, tau_max=400.0, n_bins=400):
     """Exact share of G2 in each of n_bins equal bins of [0, tau_max): the
-    wavepacket model_at(grid) on 1000 grid steps a bin (400,001 points at
-    the defaults), by the trapezoid rule, with no sampler code."""
-    grid = TimeGridConfig(tau_max=tau_max, n_points=1000 * n_bins + 1)
-    g2 = model_at(grid).g2
-    masses = (0.5 * (g2[1:] + g2[:-1])).reshape(n_bins, -1).sum(axis=1)
+    PoleModel's closed-form mass over the bin edges, with no sampler code."""
+    edges = np.linspace(0.0, tau_max, n_bins + 1)
+    masses = model.mass(edges[:-1], edges[1:])
     return masses / masses.sum()

@@ -19,7 +19,7 @@ from biphoton import (
     chi3_full,
     default_frequency_grid,
     exact_poles,
-    filtered_wavepacket,
+    filtered_model,
     narrow_mode_center,
     psi_numeric,
     read_csv,
@@ -215,7 +215,7 @@ def test_unfiltered_curves_are_one_model(tmp_path):
     h, _ = read_histogram(c / "histogram.csv")
     cfg = config_from_dict({"detection": {"rng_seed": 5}})
     want = simulate_coincidences(
-        filtered_wavepacket(cfg.system, [], cfg.grid), cfg.detection, n_shards=2)
+        filtered_model(cfg.system, []).wavepacket(cfg.grid), cfg.detection, n_shards=2)
     assert np.array_equal(h.counts, want.counts)
 
 
@@ -441,12 +441,13 @@ def _sidecar(**fields):
     ("0.5,3\n", _sidecar(measurement_time_s=0.0)),
     ("0.5,3\n", _sidecar(measurement_time_s=math.nan)),
     ("0.5,3\n", _sidecar(measurement_time_s=True)),
+    ("7.0,3\n99.0,4\n", _sidecar(bin_width_ns=2.0)),
 ], ids=["bad-cell", "short-row", "sidecar-without-singles", "sidecar-not-a-mapping",
         "nan-count", "inf-count", "count-beyond-int64", "fractional-count",
         "fractional-singles", "negative-count", "no-bins", "negative-singles-s",
         "negative-singles-as", "zero-bin-width", "negative-bin-width", "nan-bin-width",
         "boolean-bin-width", "string-bin-width", "zero-measurement-time",
-        "nan-measurement-time", "boolean-measurement-time"])
+        "nan-measurement-time", "boolean-measurement-time", "tau-off-the-bin-centres"])
 def test_malformed_histogram_exits_4(rows, sidecar, tmp_path, capsys):
     data = tmp_path / "h.csv"
     data.write_text("tau_ns,counts\n" + rows)

@@ -9,6 +9,7 @@ import pytest
 from biphoton import (
     EtalonFilter,
     GridError,
+    PoleModel,
     SystemParams,
     TimeGridConfig,
     ValidationError,
@@ -16,7 +17,6 @@ from biphoton import (
     apply_filter,
     beat_period,
     beat_suppression,
-    broadband_etalon,
     chi3_approx,
     chi3_full,
     default_frequency_grid,
@@ -24,15 +24,13 @@ from biphoton import (
     estimate_beat_period_ns,
     etalon_amplitude,
     exact_poles,
-    filtered_wavepacket,
+    filtered_model,
     g2_analytic,
     mhz_to_gamma13,
     modulation_depth_profile,
     narrow_mode_center,
     narrowband_etalon,
     psi_numeric,
-    psi_poles,
-    spectrum_energy,
     suggest_mask_start,
 )
 from biphoton import wavepacket
@@ -42,9 +40,15 @@ FILTERED_POINTS = [(28.3, 14.8), (28.3, 16.0), (16.7, 14.8), (45.0, 20.0),
                    (-30.0, 20.0), (0.0, 14.8)]
 
 
+def _broadband_etalon(center, p=None):
+    """A 500-MHz pass-both-components etalon (nominal unit peak)."""
+    return EtalonFilter(center=center, fwhm=mhz_to_gamma13(500.0, p),
+                        fsr=mhz_to_gamma13(22900.0, p), peak_transmission=1.0)
+
+
 def _narrow_filters(p, both=False):
     f = narrowband_etalon(narrow_mode_center(p), p)
-    return [f, broadband_etalon(f.center, p)] if both else [f]
+    return [f, _broadband_etalon(f.center, p)] if both else [f]
 
 
 def test_mhz_conversion_roundtrip():
@@ -84,7 +88,7 @@ def test_narrowband_peak_and_halfwidth():
 
 
 def test_etalon_passive():
-    f = broadband_etalon(3.0)
+    f = _broadband_etalon(3.0)
     omegas = np.linspace(-50.0, 50.0, 4001)
     t = np.abs(etalon_amplitude(f, omegas).values) ** 2
     assert np.all(t <= 1.0 + 1e-12)
@@ -239,7 +243,7 @@ def test_numeric_matches_exact_filtered_wavepacket(dc, oc, n_filters, default_gr
     spec = chi3_full(p, default_frequency_grid(p))
     for f in filters:
         spec = apply_filter(spec, f)
-    exact = filtered_wavepacket(p, filters, default_grid).psi
+    exact = filtered_model(p, filters).wavepacket(default_grid).psi
     numeric = psi_numeric(spec, default_grid, p).psi
     peak = np.max(np.abs(exact))
     assert np.max(np.abs(numeric - exact)) < 5e-5 * peak
@@ -250,18 +254,17 @@ def test_numeric_matches_exact_filtered_wavepacket(dc, oc, n_filters, default_gr
 @pytest.mark.parametrize("both", [False, True])
 @pytest.mark.parametrize("dc, oc", FILTERED_POINTS)
 def test_filtered_wavepacket_parseval(dc, oc, both):
-    # an oracle without psi_numeric: the residue sum's energy equals the
-    # spectral energy of the sampled filtered spectrum
+    # an oracle without psi_numeric: the model's closed-form mass equals
+    # (1/2pi) times the trapezoid integral of the sampled filtered
+    # spectrum's power, both in gamma13 units
     p = SystemParams(delta_c=dc, omega_c=oc)
     filters = _narrow_filters(p, both)
-    d = dressed_modes(p)
-    slowest = min(d.gamma_plus, d.gamma_minus, 0.5 * filters[0].fwhm)
-    grid = TimeGridConfig(tau_max=12.0 / slowest * p.time_unit_ns, n_points=6000)
     spec = chi3_full(p, default_frequency_grid(p))
     for f in filters:
         spec = apply_filter(spec, f)
-    w = filtered_wavepacket(p, filters, grid)
-    assert w.energy() / p.time_unit_ns == pytest.approx(spectrum_energy(spec), rel=1e-6)
+    spectral = np.trapezoid(np.abs(spec.values) ** 2, dx=spec.omega_step) / (2.0 * np.pi)
+    mass = filtered_model(p, filters).mass(0.0) / p.time_unit_ns
+    assert mass == pytest.approx(spectral, rel=1e-6)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -270,27 +273,27 @@ def test_repeated_pole_is_the_limit_of_split_poles(order, default_grid):
     # whose residue sum converges as eps^m
     p = SystemParams()
     r, other = complex(2.0, -1.0), complex(-1.0, -0.5)
-    exact = psi_poles(1.0, [r] * order + [other], default_grid, p).psi
+    exact = PoleModel(1.0, [r] * order + [other], p.time_unit_ns).wavepacket(default_grid).psi
     split = [r + 1e-3 * np.exp(2j * np.pi * k / order) for k in range(order)]
-    near = psi_poles(1.0, split + [other], default_grid, p).psi
+    near = PoleModel(1.0, split + [other], p.time_unit_ns).wavepacket(default_grid).psi
     assert np.max(np.abs(near - exact)) < 1e-5 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("pole", [0.5 + 1j, 5.0 + 0j, complex(-3.0, 1e-300)],
                          ids=["upper", "real", "just-above"])
-def test_pole_off_the_lower_half_plane_rejected(pole, default_grid):
+def test_pole_off_the_lower_half_plane_rejected(pole):
     # its term would grow, or never decay, with the delay
     with pytest.raises(ValidationError, match="not below the real axis"):
-        psi_poles(1.0, [complex(2.0, -1.0), pole], default_grid, SystemParams())
+        PoleModel(1.0, [complex(2.0, -1.0), pole], SystemParams().time_unit_ns)
 
 
-def test_real_root_of_d_rejected(default_grid):
+def test_real_root_of_d_rejected():
     # with gamma12 = omega_c = 0 a root of D(omega) sits at delta_c
     p = SystemParams(delta_c=5.0, omega_c=0.0, gamma12=0.0)
     assert exact_poles(p)[0] == 5.0
     for filters in ([], _narrow_filters(p)):
         with pytest.raises(ValidationError, match=r"pole 5\+0j is not below"):
-            filtered_wavepacket(p, filters, default_grid)
+            filtered_model(p, filters)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9])
@@ -300,8 +303,8 @@ def test_near_equal_etalons_match_the_repeated_pole(eps, detuned_params, default
     p = detuned_params
     f = narrowband_etalon(narrow_mode_center(p), p)
     g = dataclasses.replace(f, center=f.center + eps)
-    exact = filtered_wavepacket(p, [f, f], default_grid).psi
-    near = filtered_wavepacket(p, [f, g], default_grid).psi
+    exact = filtered_model(p, [f, f]).wavepacket(default_grid).psi
+    near = filtered_model(p, [f, g]).wavepacket(default_grid).psi
     assert np.max(np.abs(near - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
@@ -310,10 +313,10 @@ def test_separated_poles_are_not_merged(point, default_grid, monkeypatch):
     # with no cluster to merge, psi is bit for bit the plain residue sum
     p = SystemParams(delta_c=point[0], omega_c=point[1])
     filters = _narrow_filters(p, both=True)
-    merged = filtered_wavepacket(p, filters, default_grid).psi
+    merged = filtered_model(p, filters).wavepacket(default_grid).psi
     analytic = g2_analytic(p, grid=default_grid).psi
     monkeypatch.setattr(wavepacket, "POLE_MERGE_TOL", 0.0)
-    assert np.array_equal(filtered_wavepacket(p, filters, default_grid).psi, merged)
+    assert np.array_equal(filtered_model(p, filters).wavepacket(default_grid).psi, merged)
     assert np.array_equal(g2_analytic(p, grid=default_grid).psi, analytic)
 
 

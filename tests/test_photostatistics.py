@@ -25,6 +25,7 @@ from biphoton import (
     loss_budget_rate,
     normalized_cross_correlation,
     simulate_coincidences,
+    two_pole_model,
 )
 from biphoton import photostatistics
 from biphoton.photostatistics import _Scratch, _correlate, _delay_table, _delays
@@ -109,7 +110,7 @@ def test_histogram_shape_matches_model():
     # criterion 9's run, over two seeds, against the model integrated
     # apart from the sampler: expected pairs x efficiencies x bin mass,
     # plus the floor from the singles; Pearson chi2 per bin
-    masses = window_masses(lambda grid: g2_analytic(MODEL_P, grid=grid))
+    masses = window_masses(two_pole_model(MODEL_P))
     for seed in (17, 18):
         cfg = DetectionConfig(pair_rate=8.0e3, qe_stokes=0.9, qe_antistokes=0.9,
                               channel_t_stokes=0.9, channel_t_antistokes=0.9,
@@ -133,7 +134,7 @@ def test_delay_table_bias_is_below_6e8_pair_noise(delta_c, omega_c):
     p = SystemParams(delta_c=delta_c, omega_c=omega_c)
     table = _delay_table(g2_analytic(p, grid=TimeGridConfig(tau_max=400.0, n_points=2000)))
     got = np.diff(np.interp(np.arange(401.0), table.taus, table.cdf))
-    want = window_masses(lambda grid: g2_analytic(p, grid=grid))
+    want = window_masses(two_pole_model(p))
     assert 6e8 * float(np.sum((got - want) ** 2 / want)) <= 10.0
 
 

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biphoton import (
+    PoleModel,
     SystemParams,
     ValidationError,
     approx_poles,
     chi3_approx,
     chi3_full,
-    component_weights,
     default_frequency_grid,
     dressed_modes,
     exact_poles,
+    two_pole_model,
 )
 
 
@@ -159,6 +160,16 @@ def test_two_pole_warns_when_coupling_weak():
         chi3_approx(p, default_frequency_grid(p))
 
 
+def _component_masses(p):
+    """Integrated spectral power of each two-pole component alone, in
+    approx_poles' order: 2*pi times the mass, in gamma13 units, of the
+    residue over (omega - r), which is pi*|residue|^2/gamma."""
+    model = two_pole_model(p)
+    r1, r2 = model.poles
+    return [2.0 * np.pi * PoleModel(model.scale / (r - q), [r], p.time_unit_ns).mass(0.0)
+            / p.time_unit_ns for r, q in ((r1, r2), (r2, r1))]
+
+
 def test_weights_match_quad_oracle():
     from scipy.integrate import quad
 
@@ -177,7 +188,7 @@ def test_weights_match_quad_oracle():
                                     args=(d.narrow_detuning, d.gamma_minus))[0]
         want_b = amp2 / sep2 * quad(lor, -np.inf, np.inf,
                                     args=(d.broad_detuning, d.gamma_plus))[0]
-        got_n, got_b = component_weights(p)
+        got_n, got_b = _component_masses(p)
         assert got_n == pytest.approx(want_n, rel=1e-6)
         assert got_b == pytest.approx(want_b, rel=1e-6)
 
@@ -188,28 +199,27 @@ def test_weight_ratio_is_width_ratio():
     for dc in (5.0, 16.7, 28.3, 45.0):
         p = SystemParams(delta_c=dc, omega_c=14.8)
         d = dressed_modes(p)
-        wn, wb = component_weights(p)
+        wn, wb = _component_masses(p)
         assert wn / wb == pytest.approx(d.gamma_plus / d.gamma_minus, rel=1e-9)
 
 
 def test_weights_equal_on_resonance():
-    wn, wb = component_weights(SystemParams(delta_c=0.0, omega_c=14.8))
+    wn, wb = _component_masses(SystemParams(delta_c=0.0, omega_c=14.8))
     assert wn == pytest.approx(wb)
 
 
 @pytest.mark.parametrize("dc", [-28.3, -5.0, 0.0, 5.0, 28.3])
 def test_weights_order_matches_the_width_branch(dc):
-    # the narrow/broad order comes from DressedModes' widths; it must
-    # equal, bit for bit, the branch on gamma_minus <= gamma_plus that
-    # component_weights used to carry
+    # the narrow line that DressedModes names, at narrow_detuning with
+    # half-width fwhm_narrow/2, is one of the two poles, and its component
+    # outweighs the broad one by the width ratio: the dominance that
+    # spectral filtering exploits
     p = SystemParams(delta_c=dc, omega_c=14.8)
     d = dressed_modes(p)
-    p1, p2 = approx_poles(p)
-    residue = 1.0 / (4.0 * abs(complex(p.delta_p, p.gamma14)) * abs(p1 - p2))
-    w_minus = np.pi * residue ** 2 / d.gamma_minus
-    w_plus = np.pi * residue ** 2 / d.gamma_plus
-    want = (w_minus, w_plus) if d.gamma_minus <= d.gamma_plus else (w_plus, w_minus)
-    assert component_weights(p) == want
+    weights = dict(zip(approx_poles(p), _component_masses(p)))
+    narrow = weights[complex(d.narrow_detuning, -0.5 * d.fwhm_narrow)]
+    broad = weights[complex(d.broad_detuning, -0.5 * d.fwhm_broad)]
+    assert narrow / broad == pytest.approx(d.fwhm_broad / d.fwhm_narrow, rel=1e-9)
 
 
 def test_weak_coupling_single_peak():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from biphoton import (
     ComplexSpectrum,
     GridError,
+    PoleModel,
     SystemParams,
     TimeGridConfig,
     ValidationError,
@@ -20,13 +21,14 @@ from biphoton import (
     chi3_full,
     default_frequency_grid,
     dressed_modes,
+    filtered_model,
     g2_analytic,
     g2_resonant,
     narrow_mode_center,
     narrowband_etalon,
     psi_numeric,
-    spectrum_energy,
     spectrum_power,
+    two_pole_model,
 )
 from biphoton.wavepacket import _chirp, _czt, _fast_len
 
@@ -108,16 +110,57 @@ def test_numeric_tails_on_grids_off_zero(detuned_params, default_grid, shift):
 
 
 def test_parseval(detuned_params):
-    # time-domain energy equals the spectral energy (both per gamma13 unit)
+    # time-domain energy equals the spectral energy (both per gamma13
+    # unit): psi_numeric's, by the trapezoid rule, and the two-pole
+    # model's closed-form mass, against (1/2pi) * integral of |chi|^2
     p = detuned_params
     d = dressed_modes(p)
     reach = 12.0 / min(d.gamma_plus, d.gamma_minus) * p.time_unit_ns
     grid = TimeGridConfig(tau_max=reach, n_points=6000)
     spec = chi3_approx(p, default_frequency_grid(p))
     w = psi_numeric(spec, grid, p)
-    lhs = w.energy() / p.time_unit_ns
-    rhs = spectrum_energy(spec)
-    assert lhs == pytest.approx(rhs, rel=5e-3)
+    spectral = np.trapezoid(np.abs(spec.values) ** 2, dx=spec.omega_step) / (2.0 * np.pi)
+    assert np.trapezoid(w.g2, dx=w.tau_step) / p.time_unit_ns == pytest.approx(
+        spectral, rel=5e-3)
+    assert two_pole_model(p).mass(0.0) / p.time_unit_ns == pytest.approx(spectral, rel=1e-4)
+
+
+def _mass_cases():
+    """(model, {start_ns: percent of the mass beyond it}): the two-pole
+    model at the delay-table points, the exact unfiltered and filtered
+    models at the paper's detuned points, and poles of order 2 and 3."""
+    for dc, oc in ((28.3, 14.8), (0.0, 14.8), (16.7, 14.8), (45.0, 14.8), (28.3, 30.0)):
+        model = two_pole_model(SystemParams(delta_c=dc, omega_c=oc))
+        tails = {400.0: 0.0263} if dc == 0 else {}
+        yield pytest.param(model, tails, id=f"two-pole-{dc}-{oc}")
+    p = SystemParams(delta_c=28.3, omega_c=14.8)
+    yield pytest.param(filtered_model(p, []), {400.0: 11.2346}, id="exact-28.3-14.8")
+    p = SystemParams(delta_c=28.3, omega_c=16.0)
+    model = filtered_model(p, [narrowband_etalon(narrow_mode_center(p), p)])
+    yield pytest.param(model, {400.0: 13.6913, 1000.0: 0.5358}, id="filtered-28.3-16.0")
+    for order in (2, 3):
+        poles = [complex(2.0, -1.0)] * order + [complex(-1.0, -0.5)]
+        yield pytest.param(PoleModel(1.0, poles, p.time_unit_ns), {}, id=f"order-{order}")
+
+
+@pytest.mark.parametrize("model, tails", _mass_cases())
+def test_mass_matches_simpson_and_the_tail_figures(model, tails):
+    # the one fine-grid truth for the closed form: Simpson's rule on 1000
+    # steps in each 1-ns bin of [0, 400) ns, 400,001 points of G2
+    grid = TimeGridConfig(400.0, 400_001)
+    g2 = model.wavepacket(grid).g2
+    steps = g2[:-1].reshape(400, 1000)
+    ends = steps[:, 0] + np.append(steps[1:, 0], g2[-1])
+    simpson = grid.tau_step / 3.0 * (ends + 4.0 * steps[:, 1::2].sum(axis=1)
+                                     + 2.0 * steps[:, 2::2].sum(axis=1))
+    edges = np.arange(401.0)
+    bins = model.mass(edges[:-1], edges[1:])
+    assert np.max(np.abs(bins - simpson)) <= 1e-10 * bins.max()
+    total = model.mass(0.0)
+    assert bins.sum() + model.mass(400.0) == pytest.approx(total, rel=1e-12)
+    assert model.mass(-5.0, 1.0) == bins[0] and model.mass(np.inf) == 0.0
+    for start, percent in tails.items():
+        assert 100.0 * model.mass(start) / total == pytest.approx(percent, abs=1e-4)
 
 
 def test_resonant_limit_matches_general_form():
@@ -214,7 +257,6 @@ def test_wavepacket_validation():
     g2 = np.linspace(0.0, 1.0, 16)
     w = Wavepacket(grid, g2)
     assert w.tau_max == 7.5 and w.tau_step == 0.5
-    assert w.energy() > 0
     # NaN passes a test for negative samples, and +inf passes it too
     for bad in (-0.2, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="g2 must be finite and non-negative"):
