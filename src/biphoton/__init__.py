@@ -56,13 +56,12 @@ from .photostatistics import (
     budget_report,
     cauchy_schwarz,
     expected_accidental_floor,
-    histogram_metadata,
     loss_budget_rate,
     normalized_cross_correlation,
     simulate_coincidences,
 )
 from .estimation import FitModel, FitResult, fit_wavepacket, initial_guess
-from .io import read_csv, read_histogram, write_csv, write_histogram
+from .io import histogram_metadata, read_csv, read_histogram, write_csv, write_histogram
 from .modulation import (
     ModulationMask,
     apply_mask,

@@ -47,13 +47,12 @@ from .filtering import (
     narrow_mode_center,
     narrowband_etalon,
 )
-from .io import read_histogram, write_csv, write_histogram
+from .io import histogram_metadata, read_histogram, write_csv, write_histogram
 from .modulation import apply_mask, mask_values, suggest_mask_start
 from .params import dressed_modes
 from .photostatistics import (
     budget_report,
     expected_accidental_floor,
-    histogram_metadata,
     simulate_coincidences,
 )
 from .susceptibility import chi3_approx, chi3_full, default_frequency_grid

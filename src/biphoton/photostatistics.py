@@ -23,9 +23,8 @@ bit-identical, data.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -500,21 +499,3 @@ def budget_report(detected_rate: float, budget: LossBudget) -> str:
     lines.append(f"generated rate: {rate:.6g} /s")
     return "\n".join(lines)
 
-
-def histogram_metadata(h: CoincidenceHistogram, cfg: DetectionConfig,
-                       extra: dict | None = None) -> dict:
-    """Sidecar record for a saved histogram (config echo, seed, singles)."""
-    meta = {
-        "bin_width_ns": h.bin_width,
-        "n_bins": int(len(h.counts)),
-        "n_singles_s": int(h.n_singles_s),
-        "n_singles_as": int(h.n_singles_as),
-        "measurement_time_s": h.measurement_time,
-        "detection": asdict(cfg),
-        "seed": cfg.rng_seed,
-    }
-    if extra:
-        meta.update(extra)
-    # round-trip check: the sidecar must stay plain JSON
-    json.dumps(meta)
-    return meta

@@ -26,10 +26,10 @@ from .params import SystemParams, dressed_modes
 
 DEFAULT_N_POINTS = 2 ** 14
 # the most points of a time or frequency grid, and the most bins of a
-# Monte Carlo histogram; cold peak RSS on 3e6 time points (Python 3.11,
-# numpy 2.4, x86-64): filter 330 MB, modulate 289 MB, wavepacket 493 MB,
-# and a 0.5-s montecarlo 1,004 MB, whose delay table costs about 336 B a
-# point (131 MB at 2.5e5 points, 383 MB at 1e6); a bin costs 8 B per shard
+# histogram; cold peak RSS at 3e6 (Python 3.11, numpy 2.4, x86-64): filter
+# 330 MB, modulate 289, wavepacket 470, spectrum 260, read_histogram 227, a
+# fit 889-1,864 (estimation._columns), and a 0.5-s montecarlo 1,004, whose
+# delay table costs about 336 B a grid point; a bin costs 8 B per shard
 MAX_GRID_POINTS = 3_000_000
 
 

@@ -1,9 +1,12 @@
 """On-disk formats: CSV bodies, sidecars, and byte-identical reruns."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import biphoton.io
 from biphoton import (
@@ -136,6 +139,47 @@ def test_write_csv_memory_follows_a_block(tmp_path):
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
     assert len((tmp_path / "long.csv").read_text().splitlines()) == n + 3
+
+
+# float64 bit patterns every draw carries: +0, -0, the least and the
+# largest subnormal, the least normal, +inf, -inf, a quiet and a negative nan
+SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FF0 << 48,
+                0xFFF0 << 48, 0x7FF8 << 48, 0xFFF8 << 48]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.integers(0, 2 ** 64 - 1),
+                               st.integers(-2 ** 63, 2 ** 63 - 1)), max_size=40))
+def test_read_csv_parses_cells_as_float_does(tmp_path, rows):
+    bits, counts = zip(*(rows + list(zip(SPECIAL_BITS, range(len(SPECIAL_BITS))))))
+    path = tmp_path / "cells.csv"
+    write_csv(path, {"value": np.array(bits, dtype=np.uint64).view(np.float64),
+                     "counts": np.array(counts, dtype=np.int64)})
+    columns, _ = read_csv(path)
+    cells = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    want = np.array([[float(c) for c in row] for row in cells])
+    for i, name in enumerate(columns):
+        np.testing.assert_array_equal(columns[name].view(np.uint64), want[:, i].view(np.uint64))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "# a note\n"])
+def test_column_row_without_rows_reads_as_empty_columns(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("# tool: biphoton\ntau_ns,counts\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns, meta = read_csv(path)
+    assert meta == {"tool": "biphoton"}
+    assert list(columns) == ["tau_ns", "counts"]
+    assert all(c.dtype == np.float64 and c.shape == (0,) for c in columns.values())
+
+
+@pytest.mark.parametrize("rows", ["1_000,2\n", "1,2\n3\n", "1,2,3\n", "1\n", "1,true\n"])
+def test_rows_numpy_refuses_name_the_file(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\n" + rows)
+    with pytest.raises(OutputError, match="rows.csv"):
+        read_csv(path)
 
 
 def test_histogram_round_trip(tmp_path):
